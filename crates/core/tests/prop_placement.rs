@@ -121,3 +121,15 @@ fn optimization_is_idempotent_on_counts() {
         );
     }
 }
+
+/// The frontend's output over the whole generator space is pinned: the
+/// FNV digest over every case's printed IR.
+#[test]
+fn generator_lowering_is_pinned() {
+    let mut h = earth_ir::fnv::Fnv1a::new();
+    for (loads, stores, looped) in all_cases() {
+        let prog = earth_frontend::compile(&program(loads, stores, looped)).unwrap();
+        h.str_field(&earth_ir::pretty::print_program(&prog));
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "e0ef66200a54d8e5");
+}

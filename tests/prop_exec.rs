@@ -289,3 +289,17 @@ fn error_paths_agree_on_both_backends() {
     assert!(a.message.contains("budget"), "{a:?}");
     assert_eq!(a, b);
 }
+
+/// The frontend's output for a fixed-seed sample of the generators is
+/// pinned: the FNV digest over every sampled program's printed IR.
+#[test]
+fn generator_sample_lowering_is_pinned() {
+    let mut rng = Rng::new(0x5EED);
+    let mut h = earthc::earth_ir::fnv::Fnv1a::new();
+    for _ in 0..24 {
+        let (src, _) = random_program(&mut rng);
+        let prog = earthc::earth_frontend::compile(&src).unwrap();
+        h.str_field(&earthc::earth_ir::pretty::print_program(&prog));
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "b9ff39532b276312");
+}
