@@ -46,7 +46,7 @@ pub mod token;
 use std::fmt;
 
 pub use lower::{lower_unit, LowerError};
-pub use parser::{parse_unit, ParseError};
+pub use parser::{parse_unit, ParseError, MAX_NESTING};
 pub use token::{lex, LexError, Pos};
 
 /// Any frontend failure: lexing, parsing, or lowering.

@@ -77,7 +77,7 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
             flatten_struct(unit, &struct_ids, s, "", &mut def, &mut map, &mut stack)?;
             field_maps.insert(sid, map);
             // Replace the placeholder definition.
-            replace_struct(&mut prog, sid, def);
+            prog.set_struct_def(sid, def);
         }
     }
 
@@ -122,14 +122,6 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
         message: format!("internal error: lowering produced invalid IR: {e}"),
     })?;
     Ok(prog)
-}
-
-fn replace_struct(prog: &mut Program, sid: StructId, def: StructDef) {
-    // Program has no struct replacement API; rebuild in place via interior
-    // knowledge: structs are append-only, so we rebuild the program's struct
-    // table through a small dance. To keep the IR crate's encapsulation we
-    // instead mutate through a dedicated helper.
-    prog.set_struct_def(sid, def);
 }
 
 fn flatten_struct(
@@ -357,7 +349,28 @@ impl<'a> FnLower<'a> {
         Ok(())
     }
 
+    /// Lowers `body`, then a loop's `step`, then `t = bool(cond)` to
+    /// re-test a loop condition, into a fresh sequence.
+    fn seq(
+        &mut self,
+        body: &[Stmt],
+        step: Option<&Stmt>,
+        retest: Option<(VarId, &Expr)>,
+    ) -> Result<earth_ir::Stmt, LowerError> {
+        self.fb.begin_seq();
+        self.stmts(body)?;
+        if let Some(st) = step {
+            self.stmt(st)?;
+        }
+        if let Some((t, cond)) = retest {
+            self.assign_bool(t, cond)?;
+        }
+        Ok(self.fb.end_seq())
+    }
+
     fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+        // Each form lowers in its own function, so the frame that recursion
+        // passes through stays small.
         match s {
             Stmt::Block(ss) => self.stmts(ss),
             Stmt::Decl {
@@ -366,287 +379,262 @@ impl<'a> FnLower<'a> {
                 name,
                 init,
                 pos,
-            } => {
-                if self.names.contains_key(name) {
-                    return err(
-                        *pos,
-                        format!("duplicate variable `{name}` (shadowing is not supported)"),
-                    );
-                }
-                let ir_ty = lower_type(ty, self.ctx.struct_ids, *pos)?;
-                let decl = if quals.shared {
-                    if ir_ty != Ty::Int {
-                        return err(*pos, "`shared` variables must have type int");
-                    }
-                    VarDecl::shared(name.clone(), ir_ty)
-                } else if quals.local {
-                    if !ir_ty.is_ptr() {
-                        return err(*pos, "`local` only applies to pointers");
-                    }
-                    VarDecl::local(name.clone(), ir_ty)
-                } else {
-                    VarDecl::new(name.clone(), ir_ty)
-                };
-                let id = self.fb.var(decl);
-                self.names.insert(name.clone(), id);
-                if let Some(e) = init {
-                    if quals.shared {
-                        return err(*pos, "initialize shared variables with writeto(&x, v)");
-                    }
-                    self.assign_var(id, e)?;
-                }
-                Ok(())
-            }
-            Stmt::Assign { lv, rhs, pos } => match lv {
-                LValue::Var(name, vpos) => {
-                    let v = self.lookup(name, *vpos)?;
-                    if self.is_shared(v) {
-                        return err(*pos, "assign shared variables with writeto(&x, v)");
-                    }
-                    self.assign_var(v, rhs)
-                }
-                LValue::FieldPath {
-                    base,
-                    arrow,
-                    path,
-                    pos,
-                } => {
-                    let b = self.lookup(base, *pos)?;
-                    let bty = self.var_ty(b);
-                    let (sid, is_deref) = match (bty, arrow) {
-                        (Ty::Ptr(s), true) => (s, true),
-                        (Ty::Struct(s), false) => (s, false),
-                        (Ty::Ptr(_), false) => {
-                            return err(*pos, format!("`{base}` is a pointer; use `->`"))
-                        }
-                        (Ty::Struct(_), true) => {
-                            return err(*pos, format!("`{base}` is a struct; use `.`"))
-                        }
-                        _ => return err(*pos, format!("`{base}` has no fields")),
-                    };
-                    let fid = self.field(sid, path, *pos)?;
-                    let fty = self.field_ty(sid, fid);
-                    let (op, ety) = self.expr(rhs)?;
-                    self.check_assignable(ETy::T(fty), ety, rhs.pos())?;
-                    if is_deref {
-                        self.fb.store_deref(b, fid, op);
-                    } else {
-                        self.fb.store_field(b, fid, op);
-                    }
-                    Ok(())
-                }
-            },
-            Stmt::ExprStmt(e) => match e {
-                Expr::Call {
-                    name,
-                    args,
-                    at,
-                    pos,
-                } if name == "writeto" || name == "addto" => {
-                    if at.is_some() {
-                        return err(*pos, "atomic operations cannot take `@` clauses");
-                    }
-                    let var = self.shared_ref_arg(args, 0, *pos)?;
-                    if args.len() != 2 {
-                        return err(*pos, format!("`{name}` expects 2 arguments"));
-                    }
-                    let (val, vty) = self.expr(&args[1])?;
-                    self.check_assignable(ETy::T(Ty::Int), vty, args[1].pos())?;
-                    if name == "writeto" {
-                        self.fb.atomic_write(var, val);
-                    } else {
-                        self.fb.atomic_add(var, val);
-                    }
-                    Ok(())
-                }
-                Expr::Call { .. } => {
-                    self.expr_discard(e)?;
-                    Ok(())
-                }
-                _ => err(e.pos(), "expression statements must be calls"),
-            },
+            } => self.decl(ty, *quals, name, init.as_ref(), *pos),
+            Stmt::Assign { lv, rhs, pos } => self.assign(lv, rhs, *pos),
+            Stmt::ExprStmt(e) => self.expr_stmt(e),
             Stmt::If {
                 cond,
                 then_s,
                 else_s,
-                pos: _,
-            } => {
-                let c = self.cond(cond)?;
-                self.fb.begin_seq();
-                let r = self.stmts(then_s);
-                let then_stmt = self.fb.end_seq();
-                r?;
-                self.fb.begin_seq();
-                let r = self.stmts(else_s);
-                let else_stmt = self.fb.end_seq();
-                r?;
-                self.fb.emit_if(c, then_stmt, else_stmt);
-                Ok(())
-            }
-            Stmt::While { cond, body, pos: _ } => {
-                if let Some(c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb.emit_while(c, b);
-                } else {
-                    // `while (e)` with an impure condition becomes
-                    //   t = e; while (t != 0) { body; t = e; }
-                    let t = self.fb.temp(Ty::Int);
-                    self.assign_bool(t, cond)?;
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
-                }
-                Ok(())
-            }
-            Stmt::DoWhile { body, cond, pos: _ } => {
-                if let Some(_c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let b = self.fb.end_seq();
-                    r?;
-                    // Recompute: pure_cond emits nothing, so this is safe.
-                    let c = self.pure_cond(cond)?.expect("purity is deterministic");
-                    self.fb.emit_do_while(b, c);
-                } else {
-                    let t = self.fb.temp(Ty::Int);
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_do_while(b, Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)));
-                }
-                Ok(())
-            }
+                ..
+            } => self.if_stmt(cond, then_s, else_s),
+            Stmt::While { cond, body, .. } => self.while_loop(cond, body, None),
+            Stmt::DoWhile { body, cond, .. } => self.do_while(body, cond),
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
-                pos: _,
-            } => {
-                // `for` desugars to init; while (cond) { body; step; }.
-                if let Some(i) = init {
-                    self.stmt(i)?;
-                }
-                let always = Expr::Int(1, Pos::default());
-                let cond = cond.as_ref().unwrap_or(&always);
-                if let Some(_c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| match step {
-                        Some(st) => self.stmt(st),
-                        None => Ok(()),
-                    });
-                    let b = self.fb.end_seq();
-                    r?;
-                    let c = self.pure_cond(cond)?.expect("purity is deterministic");
-                    self.fb.emit_while(c, b);
-                } else {
-                    let t = self.fb.temp(Ty::Int);
-                    self.assign_bool(t, cond)?;
-                    self.fb.begin_seq();
-                    let r = self
-                        .stmts(body)
-                        .and_then(|()| match step {
-                            Some(st) => self.stmt(st),
-                            None => Ok(()),
-                        })
-                        .and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
-                }
-                Ok(())
-            }
+                ..
+            } => self.for_loop(init.as_deref(), cond.as_ref(), step.as_deref(), body),
             Stmt::Forall {
                 init,
                 cond,
                 step,
                 body,
                 pos,
-            } => {
-                let init_b = self.lower_single_basic(init, *pos, "forall init")?;
-                let Some(c) = self.pure_cond(cond)? else {
-                    return err(
-                        *pos,
-                        "forall conditions must be simple comparisons over variables",
-                    );
-                };
-                let step_b = self.lower_single_basic(step, *pos, "forall step")?;
-                self.fb.begin_seq();
-                let r = self.stmts(body);
-                let b = self.fb.end_seq();
-                r?;
-                self.fb.emit_forall(init_b, c, step_b, b);
-                Ok(())
-            }
+            } => self.forall(init, cond, step, body, *pos),
             Stmt::Switch {
                 scrut,
                 cases,
                 default,
-                pos: _,
-            } => {
-                let (op, ety) = self.expr(scrut)?;
-                self.check_assignable(ETy::T(Ty::Int), ety, scrut.pos())?;
-                let mut built = Vec::with_capacity(cases.len());
-                for (v, body) in cases {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let cs = self.fb.end_seq();
-                    r?;
-                    built.push((*v, cs));
-                }
-                self.fb.begin_seq();
-                let r = self.stmts(default);
-                let def = self.fb.end_seq();
-                r?;
-                self.fb.emit_switch(op, built, def);
-                Ok(())
-            }
+                ..
+            } => self.switch(scrut, cases, default),
             Stmt::ParSeq(arms, _) => {
                 let mut built = Vec::with_capacity(arms.len());
                 for arm in arms {
-                    self.fb.begin_seq();
-                    let r = self.stmt(arm);
-                    let a = self.fb.end_seq();
-                    r?;
-                    built.push(a);
+                    built.push(self.seq(std::slice::from_ref(arm), None, None)?);
                 }
                 self.fb.emit_par_seq(built);
                 Ok(())
             }
-            Stmt::Return(e, pos) => {
-                match (e, self.ret_ty) {
-                    (None, None) => {
-                        self.fb.ret(None);
-                    }
-                    (Some(e), Some(rt)) => {
-                        let (op, ety) = self.expr(e)?;
-                        self.check_assignable(ETy::T(rt), ety, e.pos())?;
-                        self.fb.ret(Some(op));
-                    }
-                    (None, Some(_)) => return err(*pos, "missing return value"),
-                    (Some(_), None) => return err(*pos, "void function returns a value"),
+            Stmt::Return(e, pos) => self.ret(e.as_ref(), *pos),
+        }
+    }
+
+    fn decl(
+        &mut self,
+        ty: &TypeExpr,
+        quals: ast::Quals,
+        name: &str,
+        init: Option<&Expr>,
+        pos: Pos,
+    ) -> Result<(), LowerError> {
+        if self.names.contains_key(name) {
+            return err(
+                pos,
+                format!("duplicate variable `{name}` (shadowing is not supported)"),
+            );
+        }
+        let ir_ty = lower_type(ty, self.ctx.struct_ids, pos)?;
+        let decl = if quals.shared {
+            if ir_ty != Ty::Int {
+                return err(pos, "`shared` variables must have type int");
+            }
+            VarDecl::shared(name, ir_ty)
+        } else if quals.local {
+            if !ir_ty.is_ptr() {
+                return err(pos, "`local` only applies to pointers");
+            }
+            VarDecl::local(name, ir_ty)
+        } else {
+            VarDecl::new(name, ir_ty)
+        };
+        let id = self.fb.var(decl);
+        self.names.insert(name.to_string(), id);
+        if let Some(e) = init {
+            if quals.shared {
+                return err(pos, "initialize shared variables with writeto(&x, v)");
+            }
+            self.value(e, Some(id))?;
+        }
+        Ok(())
+    }
+
+    fn assign(&mut self, lv: &LValue, rhs: &Expr, pos: Pos) -> Result<(), LowerError> {
+        match lv {
+            LValue::Var(name, vpos) => {
+                let v = self.lookup(name, *vpos)?;
+                if self.is_shared(v) {
+                    return err(pos, "assign shared variables with writeto(&x, v)");
+                }
+                self.value(rhs, Some(v)).map(drop)
+            }
+            LValue::FieldPath {
+                base,
+                arrow,
+                path,
+                pos,
+            } => {
+                let (b, fid, fty, is_deref) = self.field_access(base, *arrow, path, *pos)?;
+                let (op, ety) = self.value(rhs, None)?;
+                self.check_assignable(ETy::T(fty), ety, rhs.pos())?;
+                if is_deref {
+                    self.fb.store_deref(b, fid, op);
+                } else {
+                    self.fb.store_field(b, fid, op);
                 }
                 Ok(())
             }
         }
     }
 
+    fn expr_stmt(&mut self, e: &Expr) -> Result<(), LowerError> {
+        match e {
+            Expr::Call {
+                name,
+                args,
+                at,
+                pos,
+            } if name == "writeto" || name == "addto" => {
+                if at.is_some() {
+                    return err(*pos, "atomic operations cannot take `@` clauses");
+                }
+                let var = self.shared_ref_arg(args, 0, *pos)?;
+                if args.len() != 2 {
+                    return err(*pos, format!("`{name}` expects 2 arguments"));
+                }
+                let (val, vty) = self.value(&args[1], None)?;
+                self.check_assignable(ETy::T(Ty::Int), vty, args[1].pos())?;
+                if name == "writeto" {
+                    self.fb.atomic_write(var, val);
+                } else {
+                    self.fb.atomic_add(var, val);
+                }
+                Ok(())
+            }
+            Expr::Call {
+                name,
+                args,
+                at,
+                pos,
+            } if self.ctx.sigs.contains_key(name) => self.user_call(name, args, at, *pos, None),
+            Expr::Call { .. } => self.value(e, None).map(drop),
+            _ => err(e.pos(), "expression statements must be calls"),
+        }
+    }
+
+    fn if_stmt(&mut self, cond: &Expr, then_s: &[Stmt], else_s: &[Stmt]) -> Result<(), LowerError> {
+        let c = self.cond(cond)?;
+        let then_s = self.seq(then_s, None, None)?;
+        let else_s = self.seq(else_s, None, None)?;
+        self.fb.emit_if(c, then_s, else_s);
+        Ok(())
+    }
+
+    /// `while (cond) { body; step; }`. An impure condition becomes
+    /// `t = cond; while (t != 0) { body; step; t = cond; }`.
+    fn while_loop(
+        &mut self,
+        cond: &Expr,
+        body: &[Stmt],
+        step: Option<&Stmt>,
+    ) -> Result<(), LowerError> {
+        if let Some(c) = self.pure_cond(cond)? {
+            let b = self.seq(body, step, None)?;
+            self.fb.emit_while(c, b);
+        } else {
+            let t = self.fb.temp(Ty::Int);
+            self.assign_bool(t, cond)?;
+            let b = self.seq(body, step, Some((t, cond)))?;
+            self.fb.emit_while(nonzero(t), b);
+        }
+        Ok(())
+    }
+
+    /// `for` desugars to `init; while (cond) { body; step; }`.
+    fn for_loop(
+        &mut self,
+        init: Option<&Stmt>,
+        cond: Option<&Expr>,
+        step: Option<&Stmt>,
+        body: &[Stmt],
+    ) -> Result<(), LowerError> {
+        if let Some(i) = init {
+            self.stmt(i)?;
+        }
+        let always = Expr::Int(1, Pos::default());
+        self.while_loop(cond.unwrap_or(&always), body, step)
+    }
+
+    fn do_while(&mut self, body: &[Stmt], cond: &Expr) -> Result<(), LowerError> {
+        if let Some(c) = self.pure_cond(cond)? {
+            let b = self.seq(body, None, None)?;
+            self.fb.emit_do_while(b, c);
+        } else {
+            let t = self.fb.temp(Ty::Int);
+            let b = self.seq(body, None, Some((t, cond)))?;
+            self.fb.emit_do_while(b, nonzero(t));
+        }
+        Ok(())
+    }
+
+    fn forall(
+        &mut self,
+        init: &Stmt,
+        cond: &Expr,
+        step: &Stmt,
+        body: &[Stmt],
+        pos: Pos,
+    ) -> Result<(), LowerError> {
+        let init_b = self.lower_single_basic(init, pos, "forall init")?;
+        let Some(c) = self.pure_cond(cond)? else {
+            return err(
+                pos,
+                "forall conditions must be simple comparisons over variables",
+            );
+        };
+        let step_b = self.lower_single_basic(step, pos, "forall step")?;
+        let b = self.seq(body, None, None)?;
+        self.fb.emit_forall(init_b, c, step_b, b);
+        Ok(())
+    }
+
+    fn switch(
+        &mut self,
+        scrut: &Expr,
+        cases: &[(i64, Vec<Stmt>)],
+        default: &[Stmt],
+    ) -> Result<(), LowerError> {
+        let (op, ety) = self.value(scrut, None)?;
+        self.check_assignable(ETy::T(Ty::Int), ety, scrut.pos())?;
+        let mut built = Vec::with_capacity(cases.len());
+        for (v, body) in cases {
+            built.push((*v, self.seq(body, None, None)?));
+        }
+        let def = self.seq(default, None, None)?;
+        self.fb.emit_switch(op, built, def);
+        Ok(())
+    }
+
+    fn ret(&mut self, e: Option<&Expr>, pos: Pos) -> Result<(), LowerError> {
+        match (e, self.ret_ty) {
+            (None, None) => self.fb.ret(None),
+            (Some(e), Some(rt)) => {
+                let (op, ety) = self.value(e, None)?;
+                self.check_assignable(ETy::T(rt), ety, e.pos())?;
+                self.fb.ret(Some(op));
+            }
+            (None, Some(_)) => return err(pos, "missing return value"),
+            (Some(_), None) => return err(pos, "void function returns a value"),
+        }
+        Ok(())
+    }
+
     /// Lowers a statement that must produce exactly one basic statement
     /// (used for `forall` init/step).
     fn lower_single_basic(&mut self, s: &Stmt, pos: Pos, what: &str) -> Result<Basic, LowerError> {
-        self.fb.begin_seq();
-        let r = self.stmt(s);
-        let seq = self.fb.end_seq();
-        r?;
+        let seq = self.seq(std::slice::from_ref(s), None, None)?;
         let earth_ir::StmtKind::Seq(mut ss) = seq.kind else {
             unreachable!()
         };
@@ -680,15 +668,15 @@ impl<'a> FnLower<'a> {
                 }
             };
             if let Some(ir_op) = ir_op {
-                let (a, lt) = self.expr(lhs)?;
-                let (b, rt) = self.expr(rhs)?;
+                let (a, lt) = self.value(lhs, None)?;
+                let (b, rt) = self.value(rhs, None)?;
                 self.check_comparable(lt, rt, *pos)?;
                 return Ok(Cond::new(ir_op, a, b));
             }
         }
         let t = self.fb.temp(Ty::Int);
         self.assign_bool(t, e)?;
-        Ok(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)))
+        Ok(nonzero(t))
     }
 
     /// Tries to turn `e` into a condition without emitting any statements.
@@ -696,7 +684,7 @@ impl<'a> FnLower<'a> {
         fn trivial(lw: &mut FnLower<'_>, e: &Expr) -> Result<Option<(Operand, ETy)>, LowerError> {
             match e {
                 Expr::Int(..) | Expr::Double(..) | Expr::Null(..) | Expr::Var(..) => {
-                    lw.expr(e).map(Some)
+                    lw.value(e, None).map(Some)
                 }
                 _ => Ok(None),
             }
@@ -718,12 +706,8 @@ impl<'a> FnLower<'a> {
                 Ok(Some(Cond::new(ir_op, a, b)))
             }
             Expr::Var(..) | Expr::Int(..) => {
-                let (op, ety) = self.expr(e)?;
-                let zero = match ety {
-                    ETy::T(Ty::Ptr(_)) | ETy::Null => Operand::null(),
-                    _ => Operand::int(0),
-                };
-                Ok(Some(Cond::new(BinOp::Ne, op, zero)))
+                let (op, ety) = self.value(e, None)?;
+                Ok(Some(Cond::new(BinOp::Ne, op, zero_of(ety))))
             }
             _ => Ok(None),
         }
@@ -732,30 +716,21 @@ impl<'a> FnLower<'a> {
     /// Emits `dst = (e != 0)` (or the direct comparison when `e` is one).
     fn assign_bool(&mut self, dst: VarId, e: &Expr) -> Result<(), LowerError> {
         match e {
-            Expr::Binary { op, .. } => match op {
-                AstBinOp::And | AstBinOp::Or => {
-                    let Expr::Binary { op, lhs, rhs, .. } = e else {
-                        unreachable!()
-                    };
-                    self.lower_logical(*op, lhs, rhs, dst)
-                }
-                other if ast_binop_to_ir(*other).is_comparison() => self.assign_var(dst, e),
-                _ => {
-                    let (op, _) = self.expr(e)?;
-                    self.fb.binop(dst, BinOp::Ne, op, Operand::int(0));
-                    Ok(())
-                }
-            },
+            Expr::Binary {
+                op: op @ (AstBinOp::And | AstBinOp::Or),
+                lhs,
+                rhs,
+                ..
+            } => self.lower_logical(*op, lhs, rhs, dst),
+            Expr::Binary { op, .. } if ast_binop_to_ir(*op).is_comparison() => {
+                self.value(e, Some(dst)).map(drop)
+            }
             Expr::Unary {
                 op: AstUnOp::Not, ..
-            } => self.assign_var(dst, e),
+            } => self.value(e, Some(dst)).map(drop),
             _ => {
-                let (op, ety) = self.expr(e)?;
-                let zero = match ety {
-                    ETy::T(Ty::Ptr(_)) | ETy::Null => Operand::null(),
-                    _ => Operand::int(0),
-                };
-                self.fb.binop(dst, BinOp::Ne, op, zero);
+                let (op, ety) = self.value(e, None)?;
+                self.fb.binop(dst, BinOp::Ne, op, zero_of(ety));
                 Ok(())
             }
         }
@@ -797,39 +772,251 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn expr_discard(&mut self, e: &Expr) -> Result<(), LowerError> {
-        // Calls evaluated for effect.
-        if let Expr::Call { name, .. } = e {
-            if let Some((fid, _, ret)) = self.ctx.sigs.get(name) {
-                let (fid, ret) = (*fid, *ret);
-                let args = self.call_args(e)?;
-                let at = self.at_clause(e)?;
-                let _ = ret;
-                self.fb.basic(Basic::Call {
-                    dst: None,
-                    func: fid,
-                    args,
-                    at,
-                });
-                return Ok(());
-            }
-        }
-        let _ = self.expr(e)?;
-        Ok(())
+    /// Resolves `base->path` (`arrow`) or `base.path` to the base variable,
+    /// the flattened field, its type, and whether the access dereferences.
+    fn field_access(
+        &self,
+        base: &str,
+        arrow: bool,
+        path: &[String],
+        pos: Pos,
+    ) -> Result<(VarId, earth_ir::FieldId, Ty, bool), LowerError> {
+        let b = self.lookup(base, pos)?;
+        let (sid, is_deref) = match (self.var_ty(b), arrow) {
+            (Ty::Ptr(s), true) => (s, true),
+            (Ty::Struct(s), false) => (s, false),
+            (Ty::Ptr(_), false) => return err(pos, format!("`{base}` is a pointer; use `->`")),
+            (Ty::Struct(_), true) => return err(pos, format!("`{base}` is a struct; use `.`")),
+            _ => return err(pos, format!("`{base}` has no fields")),
+        };
+        let fid = self.field(sid, path, pos)?;
+        Ok((b, fid, self.field_ty(sid, fid), is_deref))
     }
 
-    fn call_args(&mut self, e: &Expr) -> Result<Vec<Operand>, LowerError> {
-        let Expr::Call {
-            name, args, pos, ..
-        } = e
-        else {
-            unreachable!()
+    /// Lowers `e` in one bottom-up pass and returns its operand and type.
+    ///
+    /// A leaf (constant or variable) is its own operand, copied into `dst`
+    /// when one is given. Any other expression writes its final operation
+    /// into `dst`, or else into a fresh temp. That temp is declared before
+    /// the operands are lowered, so a result is numbered ahead of its
+    /// operands' temps, and gets its type once the operands have theirs.
+    /// A result written to `dst` must be assignable to it.
+    fn value(&mut self, e: &Expr, dst: Option<VarId>) -> Result<(Operand, ETy), LowerError> {
+        let leaf = match e {
+            Expr::Int(v, _) => Some((Operand::int(*v), ETy::T(Ty::Int))),
+            Expr::Double(v, _) => Some((Operand::double(*v), ETy::T(Ty::Double))),
+            Expr::Null(_) => Some((Operand::null(), ETy::Null)),
+            Expr::Var(name, pos) => {
+                let v = self.lookup(name, *pos)?;
+                if self.is_shared(v) {
+                    return err(*pos, format!("read shared `{name}` with valueof(&{name})"));
+                }
+                Some((Operand::Var(v), ETy::T(self.var_ty(v))))
+            }
+            _ => None,
         };
-        let (_, ptys, _) = &self.ctx.sigs[name];
-        let ptys = ptys.clone();
+        let out = match (leaf, dst) {
+            (Some(leaf), None) => return Ok(leaf),
+            (Some((op, ety)), Some(d)) => {
+                self.check_assignable(ETy::T(self.var_ty(d)), ety, e.pos())?;
+                self.fb.assign(d, op);
+                return Ok((Operand::Var(d), ety));
+            }
+            (None, Some(d)) => d,
+            (None, None) => self.fb.temp(Ty::Int),
+        };
+        // Calls skip `compound`, keeping nested calls' stack frames small.
+        let ty = match e {
+            Expr::Call {
+                name,
+                args,
+                at,
+                pos,
+            } => self.call_value(name, args, at, *pos, out),
+            _ => self.compound(e, out),
+        }?;
+        match dst {
+            Some(d) => self.check_assignable(ETy::T(self.var_ty(d)), ETy::T(ty), e.pos())?,
+            None => self.fb.set_temp_ty(out, ty),
+        }
+        Ok((Operand::Var(out), ETy::T(ty)))
+    }
+
+    /// Lowers the operands of the non-leaf expression `e`, emits its final
+    /// operation into `out`, and returns the result type.
+    fn compound(&mut self, e: &Expr, out: VarId) -> Result<Ty, LowerError> {
+        match e {
+            Expr::FieldPath {
+                base,
+                arrow,
+                path,
+                pos,
+            } => {
+                let (b, fid, fty, is_deref) = self.field_access(base, *arrow, path, *pos)?;
+                if is_deref {
+                    self.fb.load_deref(out, b, fid);
+                } else {
+                    self.fb.load_field(out, b, fid);
+                }
+                Ok(fty)
+            }
+            Expr::Unary { op, arg, .. } => {
+                let (a, aty) = self.value(arg, None)?;
+                let (op, ty) = match (op, aty) {
+                    (AstUnOp::Not, _) => (UnOp::Not, Ty::Int),
+                    (AstUnOp::Neg, ETy::T(t @ (Ty::Int | Ty::Double))) => (UnOp::Neg, t),
+                    (AstUnOp::Neg, _) => return err(arg.pos(), "`-` requires a numeric operand"),
+                };
+                self.fb.unop(out, op, a);
+                Ok(ty)
+            }
+            Expr::Binary {
+                op: op @ (AstBinOp::And | AstBinOp::Or),
+                lhs,
+                rhs,
+                ..
+            } => {
+                self.lower_logical(*op, lhs, rhs, out)?;
+                Ok(Ty::Int)
+            }
+            Expr::Binary { op, lhs, rhs, pos } => {
+                let (a, lty) = self.value(lhs, None)?;
+                let (b, rty) = self.value(rhs, None)?;
+                let op = ast_binop_to_ir(*op);
+                let ty = if op.is_comparison() {
+                    self.check_comparable(lty, rty, *pos)?;
+                    Ty::Int
+                } else {
+                    match (lty, rty) {
+                        (ETy::T(Ty::Int), ETy::T(Ty::Int)) => Ty::Int,
+                        (ETy::T(Ty::Double), ETy::T(Ty::Int))
+                        | (ETy::T(Ty::Int), ETy::T(Ty::Double))
+                        | (ETy::T(Ty::Double), ETy::T(Ty::Double)) => Ty::Double,
+                        _ => {
+                            return err(
+                                *pos,
+                                format!(
+                                    "arithmetic requires numeric operands, got {} and {}",
+                                    lty.display(self.prog),
+                                    rty.display(self.prog)
+                                ),
+                            )
+                        }
+                    }
+                };
+                self.fb.binop(out, op, a, b);
+                Ok(ty)
+            }
+            Expr::AddrOf(_, pos) => {
+                err(*pos, "`&` is only valid in writeto/addto/valueof arguments")
+            }
+            Expr::Sizeof(_, pos) => err(*pos, "`sizeof` is only valid inside malloc"),
+            Expr::Int(..)
+            | Expr::Double(..)
+            | Expr::Null(..)
+            | Expr::Var(..)
+            | Expr::Call { .. } => {
+                unreachable!("lowered by `value`")
+            }
+        }
+    }
+
+    /// Lowers a call in value position into `out`: the atomic read, the
+    /// allocators, a builtin, or a non-void user function.
+    fn call_value(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        at: &Option<ast::AtClause>,
+        pos: Pos,
+        out: VarId,
+    ) -> Result<Ty, LowerError> {
+        match name {
+            "valueof" => {
+                let v = self.shared_ref_arg(args, 0, pos)?;
+                if args.len() != 1 {
+                    return err(pos, "`valueof` expects 1 argument");
+                }
+                self.fb.value_of(out, v);
+                return Ok(Ty::Int);
+            }
+            "malloc" | "malloc_on" => {
+                let (sname, node) = match (name, args) {
+                    ("malloc", [Expr::Sizeof(s, _)]) => (s, None),
+                    ("malloc_on", [node, Expr::Sizeof(s, _)]) => (s, Some(node)),
+                    _ => {
+                        return err(
+                            pos,
+                            format!("`{name}` expects (node,)? sizeof(Struct) arguments"),
+                        )
+                    }
+                };
+                let sid = *self.ctx.struct_ids.get(sname).ok_or_else(|| LowerError {
+                    pos,
+                    message: format!("unknown struct `{sname}` in sizeof"),
+                })?;
+                let on = match node {
+                    Some(n) => {
+                        let (op, ety) = self.value(n, None)?;
+                        self.check_assignable(ETy::T(Ty::Int), ety, n.pos())?;
+                        Some(op)
+                    }
+                    None => None,
+                };
+                self.fb.malloc(out, sid, on);
+                return Ok(Ty::Ptr(sid));
+            }
+            "writeto" | "addto" => {
+                return err(pos, format!("`{name}` is a statement, not an expression"))
+            }
+            _ => {}
+        }
+        if let Some(b) = Builtin::by_name(name) {
+            if args.len() != b.arity() {
+                return err(
+                    pos,
+                    format!(
+                        "`{}` expects {} arguments, got {}",
+                        b.name(),
+                        b.arity(),
+                        args.len()
+                    ),
+                );
+            }
+            let mut ops = Vec::with_capacity(args.len());
+            for a in args {
+                ops.push(self.value(a, None)?.0);
+            }
+            self.fb.builtin(out, b, ops);
+            return Ok(match b {
+                Builtin::Sqrt | Builtin::Fabs | Builtin::PrintDouble => Ty::Double,
+                _ => Ty::Int,
+            });
+        }
+        let Some(&(_, _, ret)) = self.ctx.sigs.get(name) else {
+            return err(pos, format!("unknown function `{name}`"));
+        };
+        let Some(ret) = ret else {
+            return err(pos, format!("void function `{name}` used as a value"));
+        };
+        self.user_call(name, args, at, pos, Some(out))?;
+        Ok(ret)
+    }
+
+    /// Emits a call of the user function `name`; `dst` receives the result,
+    /// `None` discards it.
+    fn user_call(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        at: &Option<ast::AtClause>,
+        pos: Pos,
+        dst: Option<VarId>,
+    ) -> Result<(), LowerError> {
+        let (func, ptys, _) = &self.ctx.sigs[name];
         if args.len() != ptys.len() {
             return err(
-                *pos,
+                pos,
                 format!(
                     "`{name}` expects {} arguments, got {}",
                     ptys.len(),
@@ -837,426 +1024,34 @@ impl<'a> FnLower<'a> {
                 ),
             );
         }
-        let mut out = Vec::with_capacity(args.len());
+        let mut ops = Vec::with_capacity(args.len());
         for (a, pty) in args.iter().zip(ptys) {
-            let (op, ety) = self.expr(a)?;
-            self.check_assignable(ETy::T(pty), ety, a.pos())?;
-            out.push(op);
+            let (op, ety) = self.value(a, None)?;
+            self.check_assignable(ETy::T(*pty), ety, a.pos())?;
+            ops.push(op);
         }
-        Ok(out)
-    }
-
-    fn at_clause(&mut self, e: &Expr) -> Result<Option<AtTarget>, LowerError> {
-        let Expr::Call { at, pos, .. } = e else {
-            unreachable!()
-        };
-        match at {
-            None => Ok(None),
+        let at = match at {
+            None => None,
             Some(ast::AtClause::OwnerOf(p)) => {
-                let v = self.lookup(p, *pos)?;
+                let v = self.lookup(p, pos)?;
                 if !self.var_ty(v).is_ptr() {
-                    return err(*pos, format!("OWNER_OF(`{p}`): not a pointer"));
+                    return err(pos, format!("OWNER_OF(`{p}`): not a pointer"));
                 }
-                Ok(Some(AtTarget::OwnerOf(v)))
+                Some(AtTarget::OwnerOf(v))
             }
             Some(ast::AtClause::Node(n)) => {
-                let (op, ety) = self.expr(n)?;
+                let (op, ety) = self.value(n, None)?;
                 self.check_assignable(ETy::T(Ty::Int), ety, n.pos())?;
-                Ok(Some(AtTarget::Node(op)))
+                Some(AtTarget::Node(op))
             }
-        }
-    }
-
-    /// Lowers `e` to an operand, emitting intermediate statements.
-    fn expr(&mut self, e: &Expr) -> Result<(Operand, ETy), LowerError> {
-        match e {
-            Expr::Int(v, _) => Ok((Operand::int(*v), ETy::T(Ty::Int))),
-            Expr::Double(v, _) => Ok((Operand::double(*v), ETy::T(Ty::Double))),
-            Expr::Null(_) => Ok((Operand::null(), ETy::Null)),
-            Expr::Var(name, pos) => {
-                let v = self.lookup(name, *pos)?;
-                if self.is_shared(v) {
-                    return err(*pos, format!("read shared `{name}` with valueof(&{name})"));
-                }
-                Ok((Operand::Var(v), ETy::T(self.var_ty(v))))
-            }
-            _ => {
-                // Everything else materializes into a temp.
-                let (ty, emit) = self.plan_value(e)?;
-                let t = self.fb.temp(ty);
-                emit(self, t)?;
-                Ok((Operand::Var(t), ETy::T(ty)))
-            }
-        }
-    }
-
-    /// Lowers `e` and assigns the result to `dst` without an extra copy for
-    /// the final operation.
-    fn assign_var(&mut self, dst: VarId, e: &Expr) -> Result<(), LowerError> {
-        let dty = self.var_ty(dst);
-        match e {
-            Expr::Int(..) | Expr::Double(..) | Expr::Null(..) | Expr::Var(..) => {
-                let (op, ety) = self.expr(e)?;
-                self.check_assignable(ETy::T(dty), ety, e.pos())?;
-                self.fb.assign(dst, op);
-                Ok(())
-            }
-            _ => {
-                let (ty, emit) = self.plan_value(e)?;
-                self.check_assignable(ETy::T(dty), ETy::T(ty), e.pos())?;
-                emit(self, dst)
-            }
-        }
-    }
-
-    /// Plans the lowering of a non-trivial expression: returns its result
-    /// type and a closure that emits the final operation into a given
-    /// destination variable. Sub-expressions are lowered eagerly (emitting
-    /// temps) when the plan is created... except they cannot be, because the
-    /// borrow would overlap — so the closure performs all emission.
-    #[allow(clippy::type_complexity)]
-    fn plan_value(
-        &mut self,
-        e: &Expr,
-    ) -> Result<
-        (
-            Ty,
-            Box<dyn FnOnce(&mut Self, VarId) -> Result<(), LowerError> + 'a>,
-        ),
-        LowerError,
-    > {
-        match e {
-            Expr::FieldPath {
-                base,
-                arrow,
-                path,
-                pos,
-            } => {
-                let b = self.lookup(base, *pos)?;
-                let bty = self.var_ty(b);
-                let (sid, is_deref) = match (bty, arrow) {
-                    (Ty::Ptr(s), true) => (s, true),
-                    (Ty::Struct(s), false) => (s, false),
-                    (Ty::Ptr(_), false) => {
-                        return err(*pos, format!("`{base}` is a pointer; use `->`"))
-                    }
-                    (Ty::Struct(_), true) => {
-                        return err(*pos, format!("`{base}` is a struct; use `.`"))
-                    }
-                    _ => return err(*pos, format!("`{base}` has no fields")),
-                };
-                let fid = self.field(sid, path, *pos)?;
-                let fty = self.field_ty(sid, fid);
-                Ok((
-                    fty,
-                    Box::new(move |lw, dst| {
-                        if is_deref {
-                            lw.fb.load_deref(dst, b, fid);
-                        } else {
-                            lw.fb.load_field(dst, b, fid);
-                        }
-                        Ok(())
-                    }),
-                ))
-            }
-            Expr::Unary { op, arg, pos: _ } => {
-                let op = *op;
-                let arg = (**arg).clone();
-                // Type: Neg preserves numeric type; Not yields int.
-                // We must lower the argument inside the closure (after dst
-                // is allocated) to keep statement order natural.
-                let aty = self.peek_ty(&arg)?;
-                let rty = match op {
-                    AstUnOp::Neg => match aty {
-                        ETy::T(Ty::Int) => Ty::Int,
-                        ETy::T(Ty::Double) => Ty::Double,
-                        _ => return err(arg.pos(), "`-` requires a numeric operand"),
-                    },
-                    AstUnOp::Not => Ty::Int,
-                };
-                Ok((
-                    rty,
-                    Box::new(move |lw, dst| {
-                        let (a, _) = lw.expr(&arg)?;
-                        let irop = match op {
-                            AstUnOp::Neg => UnOp::Neg,
-                            AstUnOp::Not => UnOp::Not,
-                        };
-                        lw.fb.unop(dst, irop, a);
-                        Ok(())
-                    }),
-                ))
-            }
-            Expr::Binary { op, lhs, rhs, pos } => {
-                let op = *op;
-                let pos = *pos;
-                match op {
-                    AstBinOp::And | AstBinOp::Or => {
-                        let lhs = (**lhs).clone();
-                        let rhs = (**rhs).clone();
-                        Ok((
-                            Ty::Int,
-                            Box::new(move |lw, dst| lw.lower_logical(op, &lhs, &rhs, dst)),
-                        ))
-                    }
-                    _ => {
-                        let lty = self.peek_ty(lhs)?;
-                        let rty = self.peek_ty(rhs)?;
-                        let ir_op = ast_binop_to_ir(op);
-                        let res_ty = if ir_op.is_comparison() {
-                            self.check_comparable(lty, rty, pos)?;
-                            Ty::Int
-                        } else {
-                            match (lty, rty) {
-                                (ETy::T(Ty::Int), ETy::T(Ty::Int)) => Ty::Int,
-                                (ETy::T(Ty::Double), ETy::T(Ty::Int))
-                                | (ETy::T(Ty::Int), ETy::T(Ty::Double))
-                                | (ETy::T(Ty::Double), ETy::T(Ty::Double)) => Ty::Double,
-                                _ => {
-                                    return err(
-                                        pos,
-                                        format!(
-                                            "arithmetic requires numeric operands, got {} and {}",
-                                            lty.display(self.prog),
-                                            rty.display(self.prog)
-                                        ),
-                                    )
-                                }
-                            }
-                        };
-                        let lhs = (**lhs).clone();
-                        let rhs = (**rhs).clone();
-                        Ok((
-                            res_ty,
-                            Box::new(move |lw, dst| {
-                                let (a, _) = lw.expr(&lhs)?;
-                                let (b, _) = lw.expr(&rhs)?;
-                                lw.fb.binop(dst, ir_op, a, b);
-                                Ok(())
-                            }),
-                        ))
-                    }
-                }
-            }
-            Expr::Call {
-                name, pos, args, ..
-            } => {
-                // Special call forms first.
-                match name.as_str() {
-                    "valueof" => {
-                        let args = args.clone();
-                        let pos = *pos;
-                        return Ok((
-                            Ty::Int,
-                            Box::new(move |lw, dst| {
-                                let v = lw.shared_ref_arg(&args, 0, pos)?;
-                                if args.len() != 1 {
-                                    return err(pos, "`valueof` expects 1 argument");
-                                }
-                                lw.fb.value_of(dst, v);
-                                Ok(())
-                            }),
-                        ));
-                    }
-                    "malloc" | "malloc_on" => {
-                        let (sname, on) = match (name.as_str(), args.as_slice()) {
-                            ("malloc", [Expr::Sizeof(s, _)]) => (s.clone(), None),
-                            ("malloc_on", [node, Expr::Sizeof(s, _)]) => {
-                                (s.clone(), Some(node.clone()))
-                            }
-                            _ => {
-                                return err(
-                                    *pos,
-                                    format!("`{name}` expects (node,)? sizeof(Struct) arguments"),
-                                )
-                            }
-                        };
-                        let sid = *self.ctx.struct_ids.get(&sname).ok_or_else(|| LowerError {
-                            pos: *pos,
-                            message: format!("unknown struct `{sname}` in sizeof"),
-                        })?;
-                        return Ok((
-                            Ty::Ptr(sid),
-                            Box::new(move |lw, dst| {
-                                let on_op = match &on {
-                                    Some(n) => {
-                                        let (op, ety) = lw.expr(n)?;
-                                        lw.check_assignable(ETy::T(Ty::Int), ety, n.pos())?;
-                                        Some(op)
-                                    }
-                                    None => None,
-                                };
-                                lw.fb.malloc(dst, sid, on_op);
-                                Ok(())
-                            }),
-                        ));
-                    }
-                    "writeto" | "addto" => {
-                        return err(*pos, format!("`{name}` is a statement, not an expression"))
-                    }
-                    _ => {}
-                }
-                if let Some(b) = Builtin::by_name(name) {
-                    let args = args.clone();
-                    let pos = *pos;
-                    let rty = match b {
-                        Builtin::Sqrt | Builtin::Fabs | Builtin::PrintDouble => Ty::Double,
-                        _ => Ty::Int,
-                    };
-                    return Ok((
-                        rty,
-                        Box::new(move |lw, dst| {
-                            if args.len() != b.arity() {
-                                return err(
-                                    pos,
-                                    format!(
-                                        "`{}` expects {} arguments, got {}",
-                                        b.name(),
-                                        b.arity(),
-                                        args.len()
-                                    ),
-                                );
-                            }
-                            let mut ops = Vec::new();
-                            for a in &args {
-                                let (op, _) = lw.expr(a)?;
-                                ops.push(op);
-                            }
-                            lw.fb.builtin(dst, b, ops);
-                            Ok(())
-                        }),
-                    ));
-                }
-                // User function.
-                let Some((fid, _, ret)) = self.ctx.sigs.get(name) else {
-                    return err(*pos, format!("unknown function `{name}`"));
-                };
-                let (fid, ret) = (*fid, *ret);
-                let Some(ret) = ret else {
-                    return err(*pos, format!("void function `{name}` used as a value"));
-                };
-                let e = e.clone();
-                Ok((
-                    ret,
-                    Box::new(move |lw, dst| {
-                        let args = lw.call_args(&e)?;
-                        let at = lw.at_clause(&e)?;
-                        lw.fb.basic(Basic::Call {
-                            dst: Some(dst),
-                            func: fid,
-                            args,
-                            at,
-                        });
-                        Ok(())
-                    }),
-                ))
-            }
-            Expr::AddrOf(_, pos) => {
-                err(*pos, "`&` is only valid in writeto/addto/valueof arguments")
-            }
-            Expr::Sizeof(_, pos) => err(*pos, "`sizeof` is only valid inside malloc"),
-            Expr::Int(..) | Expr::Double(..) | Expr::Null(..) | Expr::Var(..) => {
-                // Trivial values: plan as a copy.
-                let (op, ety) = self.expr(e)?;
-                let ty = match ety {
-                    ETy::T(t) => t,
-                    ETy::Null => {
-                        return err(e.pos(), "NULL needs a pointer-typed context");
-                    }
-                };
-                Ok((
-                    ty,
-                    Box::new(move |lw, dst| {
-                        lw.fb.assign(dst, op);
-                        Ok(())
-                    }),
-                ))
-            }
-        }
-    }
-
-    /// Infers the type of `e` without emitting code.
-    fn peek_ty(&mut self, e: &Expr) -> Result<ETy, LowerError> {
-        Ok(match e {
-            Expr::Int(..) => ETy::T(Ty::Int),
-            Expr::Double(..) => ETy::T(Ty::Double),
-            Expr::Null(..) => ETy::Null,
-            Expr::Var(name, pos) => ETy::T(self.var_ty(self.lookup(name, *pos)?)),
-            Expr::FieldPath {
-                base,
-                arrow,
-                path,
-                pos,
-            } => {
-                let b = self.lookup(base, *pos)?;
-                let sid = match (self.var_ty(b), arrow) {
-                    (Ty::Ptr(s), true) | (Ty::Struct(s), false) => s,
-                    _ => return err(*pos, format!("bad field access on `{base}`")),
-                };
-                let fid = self.field(sid, path, *pos)?;
-                ETy::T(self.field_ty(sid, fid))
-            }
-            Expr::Unary { op, arg, .. } => match op {
-                AstUnOp::Not => ETy::T(Ty::Int),
-                AstUnOp::Neg => self.peek_ty(arg)?,
-            },
-            Expr::Binary { op, lhs, rhs, .. } => match op {
-                AstBinOp::And
-                | AstBinOp::Or
-                | AstBinOp::Eq
-                | AstBinOp::Ne
-                | AstBinOp::Lt
-                | AstBinOp::Le
-                | AstBinOp::Gt
-                | AstBinOp::Ge => ETy::T(Ty::Int),
-                _ => {
-                    let l = self.peek_ty(lhs)?;
-                    let r = self.peek_ty(rhs)?;
-                    match (l, r) {
-                        (ETy::T(Ty::Double), _) | (_, ETy::T(Ty::Double)) => ETy::T(Ty::Double),
-                        _ => ETy::T(Ty::Int),
-                    }
-                }
-            },
-            Expr::Call { name, pos, .. } => match name.as_str() {
-                "valueof" => ETy::T(Ty::Int),
-                "malloc" | "malloc_on" => {
-                    // Type comes from the sizeof argument; re-derived during
-                    // planning, so a best-effort answer suffices here.
-                    if let Expr::Call { args, .. } = e {
-                        let s = args.iter().find_map(|a| match a {
-                            Expr::Sizeof(s, _) => Some(s.clone()),
-                            _ => None,
-                        });
-                        match s.and_then(|s| self.ctx.struct_ids.get(&s).copied()) {
-                            Some(sid) => ETy::T(Ty::Ptr(sid)),
-                            None => return err(*pos, "malloc needs sizeof(Struct)"),
-                        }
-                    } else {
-                        unreachable!()
-                    }
-                }
-                _ => {
-                    if let Some(b) = Builtin::by_name(name) {
-                        match b {
-                            Builtin::Sqrt | Builtin::Fabs | Builtin::PrintDouble => {
-                                ETy::T(Ty::Double)
-                            }
-                            _ => ETy::T(Ty::Int),
-                        }
-                    } else if let Some((_, _, ret)) = self.ctx.sigs.get(name) {
-                        match ret {
-                            Some(t) => ETy::T(*t),
-                            None => return err(*pos, format!("void function `{name}` as value")),
-                        }
-                    } else {
-                        return err(*pos, format!("unknown function `{name}`"));
-                    }
-                }
-            },
-            Expr::AddrOf(_, pos) => return err(*pos, "`&` not valid here"),
-            Expr::Sizeof(_, pos) => return err(*pos, "`sizeof` not valid here"),
-        })
+        };
+        self.fb.basic(Basic::Call {
+            dst,
+            func: *func,
+            args: ops,
+            at,
+        });
+        Ok(())
     }
 
     fn check_comparable(&self, l: ETy, r: ETy, pos: Pos) -> Result<(), LowerError> {
@@ -1279,7 +1074,9 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    /// Short-circuit lowering of `&&` / `||` into branches.
+    /// Short-circuit lowering of `&&` / `||` into branches:
+    /// `dst = 0; if (l != 0) { dst = bool(rhs); }` for `&&`, and
+    /// `dst = 1; if (l == 0) { dst = bool(rhs); }` for `||`.
     fn lower_logical(
         &mut self,
         op: AstBinOp,
@@ -1287,39 +1084,35 @@ impl<'a> FnLower<'a> {
         rhs: &Expr,
         dst: VarId,
     ) -> Result<(), LowerError> {
-        let (l, lty) = self.expr(lhs)?;
-        let zero = match lty {
-            ETy::T(Ty::Ptr(_)) | ETy::Null => Operand::null(),
-            _ => Operand::int(0),
-        };
-        match op {
-            AstBinOp::And => {
-                // dst = 0; if (l != 0) { dst = bool(rhs); }
-                self.fb.assign(dst, Operand::int(0));
-                self.fb.begin_seq();
-                let r = self.assign_bool(dst, rhs);
-                let then_s = self.fb.end_seq();
-                r?;
-                self.fb.begin_seq();
-                let else_s = self.fb.end_seq();
-                self.fb
-                    .emit_if(Cond::new(BinOp::Ne, l, zero), then_s, else_s);
-            }
-            AstBinOp::Or => {
-                // dst = 1; if (l == 0) { dst = bool(rhs); }
-                self.fb.assign(dst, Operand::int(1));
-                self.fb.begin_seq();
-                let r = self.assign_bool(dst, rhs);
-                let then_s = self.fb.end_seq();
-                r?;
-                self.fb.begin_seq();
-                let else_s = self.fb.end_seq();
-                self.fb
-                    .emit_if(Cond::new(BinOp::Eq, l, zero), then_s, else_s);
-            }
+        let (init, test) = match op {
+            AstBinOp::And => (0, BinOp::Ne),
+            AstBinOp::Or => (1, BinOp::Eq),
             _ => unreachable!("lower_logical only handles && and ||"),
-        }
+        };
+        let (l, lty) = self.value(lhs, None)?;
+        self.fb.assign(dst, Operand::int(init));
+        self.fb.begin_seq();
+        let r = self.assign_bool(dst, rhs);
+        let then_s = self.fb.end_seq();
+        r?;
+        self.fb.begin_seq();
+        let else_s = self.fb.end_seq();
+        self.fb
+            .emit_if(Cond::new(test, l, zero_of(lty)), then_s, else_s);
         Ok(())
+    }
+}
+
+/// `t != 0`, the test of a materialized boolean.
+fn nonzero(t: VarId) -> Cond {
+    Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0))
+}
+
+/// The zero a value of type `ty` is tested against: `NULL` for pointers.
+fn zero_of(ty: ETy) -> Operand {
+    match ty {
+        ETy::T(Ty::Ptr(_)) | ETy::Null => Operand::null(),
+        _ => Operand::int(0),
     }
 }
 

@@ -30,20 +30,40 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting the parser accepts, counted over statements,
+/// parenthesized or argument expressions, unary operators, and the height
+/// of the left-deep trees that binary operators build. Parsing and lowering
+/// recurse once per level, so the bound keeps both off the end of the
+/// stack: a source at the limit parses and lowers on a 2 MiB thread (the
+/// stack of test threads and `earthd` workers) in the debug profile.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a full translation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error.
+/// Returns the first lexical or syntactic error, including nesting deeper
+/// than [`MAX_NESTING`].
 pub fn parse_unit(src: &str) -> Result<Unit, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0 };
+    let mut p = Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+        peak: 0,
+    };
     p.unit()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     i: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Deepest level reached since the innermost enclosing operator chain
+    /// started its current operand; chains read it to learn the height of
+    /// what they just parsed.
+    peak: usize,
 }
 
 impl Parser {
@@ -90,6 +110,33 @@ impl Parser {
             pos: self.pos(),
             message,
         }
+    }
+
+    fn too_deep(pos: Pos) -> ParseError {
+        ParseError {
+            pos,
+            message: format!("nesting too deep (more than {MAX_NESTING} levels)"),
+        }
+    }
+
+    /// Descends one nesting level; [`Parser::leave`] undoes it.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        if self.depth > MAX_NESTING {
+            return Err(Self::too_deep(self.pos()));
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Out of line, so the recursive productions' frames carry no
+    /// formatting machinery.
+    fn unexpected(&self, what: &str) -> ParseError {
+        self.err(format!("expected {what}, found {}", self.peek()))
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -294,186 +341,186 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.enter()?;
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::LBrace => {
-                self.bump();
-                let ss = self.stmt_list(&Tok::RBrace)?;
-                self.expect(Tok::RBrace)?;
-                Ok(Stmt::Block(ss))
-            }
-            Tok::ParOpen => {
-                self.bump();
-                let ss = self.stmt_list(&Tok::ParClose)?;
-                self.expect(Tok::ParClose)?;
-                Ok(Stmt::ParSeq(ss, pos))
-            }
-            Tok::KwIf => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let then_s = self.block_or_single()?;
-                let else_s = if self.eat(&Tok::KwElse) {
-                    self.block_or_single()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_s,
-                    else_s,
-                    pos,
-                })
-            }
-            Tok::KwWhile => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::While { cond, body, pos })
-            }
-            Tok::KwDo => {
-                self.bump();
-                let body = self.block_or_single()?;
-                self.expect(Tok::KwWhile)?;
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, pos })
-            }
-            Tok::KwFor => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let init = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(Tok::Semi)?;
-                let cond = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(Tok::Semi)?;
-                let step = if self.peek() == &Tok::RParen {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    pos,
-                })
-            }
-            Tok::KwForall => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let init = Box::new(self.simple_stmt_no_semi()?);
-                self.expect(Tok::Semi)?;
-                let cond = self.expr()?;
-                self.expect(Tok::Semi)?;
-                let step = Box::new(self.simple_stmt_no_semi()?);
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::Forall {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    pos,
-                })
-            }
-            Tok::KwSwitch => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let scrut = self.expr()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::LBrace)?;
-                let mut cases = Vec::new();
-                let mut default = Vec::new();
-                while self.peek() != &Tok::RBrace {
-                    if self.eat(&Tok::KwCase) {
-                        let v = match self.bump() {
-                            Tok::Int(v) => v,
-                            Tok::Minus => match self.bump() {
-                                Tok::Int(v) => -v,
-                                other => {
-                                    return Err(
-                                        self.err(format!("expected case value, found {other}"))
-                                    )
-                                }
-                            },
-                            other => {
-                                return Err(self.err(format!("expected case value, found {other}")))
-                            }
-                        };
-                        self.expect(Tok::Colon)?;
-                        let mut body = Vec::new();
-                        while !matches!(
-                            self.peek(),
-                            Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
-                        ) {
-                            body.push(self.stmt()?);
-                        }
-                        if self.eat(&Tok::KwBreak) {
-                            self.expect(Tok::Semi)?;
-                        }
-                        cases.push((v, body));
-                    } else if self.eat(&Tok::KwDefault) {
-                        self.expect(Tok::Colon)?;
-                        while !matches!(
-                            self.peek(),
-                            Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
-                        ) {
-                            default.push(self.stmt()?);
-                        }
-                        if self.eat(&Tok::KwBreak) {
-                            self.expect(Tok::Semi)?;
-                        }
-                    } else {
-                        return Err(self.err(format!(
-                            "expected `case`, `default` or `}}`, found {}",
-                            self.peek()
-                        )));
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-                Ok(Stmt::Switch {
-                    scrut,
-                    cases,
-                    default,
-                    pos,
-                })
-            }
-            Tok::KwReturn => {
-                self.bump();
-                let e = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Return(e, pos))
-            }
-            _ if self.at_decl() => {
-                let s = self.decl_stmt()?;
-                Ok(s)
-            }
-            _ => {
-                let s = self.simple_stmt_no_semi()?;
+        // Each form parses in its own function, so the frame that recursion
+        // passes through stays small.
+        let s = match self.peek() {
+            Tok::LBrace => self.braced(Tok::RBrace).map(Stmt::Block),
+            Tok::ParOpen => self.braced(Tok::ParClose).map(|ss| Stmt::ParSeq(ss, pos)),
+            Tok::KwIf => self.if_stmt(pos),
+            Tok::KwWhile => self.while_stmt(pos),
+            Tok::KwDo => self.do_stmt(pos),
+            Tok::KwFor => self.for_stmt(pos),
+            Tok::KwForall => self.forall_stmt(pos),
+            Tok::KwSwitch => self.switch_stmt(pos),
+            Tok::KwReturn => self.return_stmt(pos),
+            _ if self.at_decl() => self.decl_stmt(),
+            _ => self.simple_stmt_no_semi().and_then(|s| {
                 self.expect(Tok::Semi)?;
                 Ok(s)
+            }),
+        }?;
+        self.leave();
+        Ok(s)
+    }
+
+    /// An opening delimiter, a statement list, and `close`.
+    fn braced(&mut self, close: Tok) -> Result<Vec<Stmt>, ParseError> {
+        self.bump();
+        let ss = self.stmt_list(&close)?;
+        self.expect(close)?;
+        Ok(ss)
+    }
+
+    /// `( expr )`, as in `if`, `while` and `switch` headers.
+    fn paren_cond(&mut self) -> Result<Expr, ParseError> {
+        self.expect(Tok::LParen)?;
+        let cond = self.expr()?;
+        self.expect(Tok::RParen)?;
+        Ok(cond)
+    }
+
+    fn if_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        let cond = self.paren_cond()?;
+        let then_s = self.block_or_single()?;
+        let else_s = if self.eat(&Tok::KwElse) {
+            self.block_or_single()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then_s,
+            else_s,
+            pos,
+        })
+    }
+
+    fn while_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        let cond = self.paren_cond()?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::While { cond, body, pos })
+    }
+
+    fn do_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        let body = self.block_or_single()?;
+        self.expect(Tok::KwWhile)?;
+        let cond = self.paren_cond()?;
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::DoWhile { body, cond, pos })
+    }
+
+    fn for_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let init = if self.peek() == &Tok::Semi {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(Tok::Semi)?;
+        let cond = if self.peek() == &Tok::Semi {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(Tok::Semi)?;
+        let step = if self.peek() == &Tok::RParen {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(Tok::RParen)?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            pos,
+        })
+    }
+
+    fn forall_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let init = Box::new(self.simple_stmt_no_semi()?);
+        self.expect(Tok::Semi)?;
+        let cond = self.expr()?;
+        self.expect(Tok::Semi)?;
+        let step = Box::new(self.simple_stmt_no_semi()?);
+        self.expect(Tok::RParen)?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::Forall {
+            init,
+            cond,
+            step,
+            body,
+            pos,
+        })
+    }
+
+    fn switch_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        let scrut = self.paren_cond()?;
+        self.expect(Tok::LBrace)?;
+        let mut cases = Vec::new();
+        let mut default = Vec::new();
+        while self.peek() != &Tok::RBrace {
+            let body = if self.eat(&Tok::KwCase) {
+                let v = match self.bump() {
+                    Tok::Int(v) => v,
+                    Tok::Minus => match self.bump() {
+                        Tok::Int(v) => -v,
+                        other => {
+                            return Err(self.err(format!("expected case value, found {other}")))
+                        }
+                    },
+                    other => return Err(self.err(format!("expected case value, found {other}"))),
+                };
+                cases.push((v, Vec::new()));
+                &mut cases.last_mut().expect("just pushed").1
+            } else if self.eat(&Tok::KwDefault) {
+                &mut default
+            } else {
+                return Err(self.err(format!(
+                    "expected `case`, `default` or `}}`, found {}",
+                    self.peek()
+                )));
+            };
+            self.expect(Tok::Colon)?;
+            while !matches!(
+                self.peek(),
+                Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
+            ) {
+                body.push(self.stmt()?);
+            }
+            if self.eat(&Tok::KwBreak) {
+                self.expect(Tok::Semi)?;
             }
         }
+        self.expect(Tok::RBrace)?;
+        Ok(Stmt::Switch {
+            scrut,
+            cases,
+            default,
+            pos,
+        })
+    }
+
+    fn return_stmt(&mut self, pos: Pos) -> Result<Stmt, ParseError> {
+        self.bump();
+        let e = if self.peek() == &Tok::Semi {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::Return(e, pos))
     }
 
     fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -551,145 +598,75 @@ impl Parser {
             let base = self.ident()?;
             self.expect(Tok::RParen)?;
             self.expect(Tok::Dot)?;
-            let mut path = vec![self.ident()?];
-            while self.eat(&Tok::Dot) {
-                path.push(self.ident()?);
-            }
             return Ok(LValue::FieldPath {
                 base,
                 arrow: true,
-                path,
+                path: self.field_path()?,
                 pos,
             });
         }
         let base = self.ident()?;
-        match self.peek() {
-            Tok::Arrow => {
-                self.bump();
-                let mut path = vec![self.ident()?];
-                while self.eat(&Tok::Dot) {
-                    path.push(self.ident()?);
-                }
-                Ok(LValue::FieldPath {
-                    base,
-                    arrow: true,
-                    path,
-                    pos,
-                })
-            }
-            Tok::Dot => {
-                self.bump();
-                let mut path = vec![self.ident()?];
-                while self.eat(&Tok::Dot) {
-                    path.push(self.ident()?);
-                }
-                Ok(LValue::FieldPath {
-                    base,
-                    arrow: false,
-                    path,
-                    pos,
-                })
-            }
-            _ => Ok(LValue::Var(base, pos)),
-        }
+        let arrow = match self.peek() {
+            Tok::Arrow => true,
+            Tok::Dot => false,
+            _ => return Ok(LValue::Var(base, pos)),
+        };
+        self.bump();
+        Ok(LValue::FieldPath {
+            base,
+            arrow,
+            path: self.field_path()?,
+            pos,
+        })
     }
 
     // ---- expressions --------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.enter()?;
+        let e = self.binary(1)?;
+        self.leave();
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::OrOr {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: AstBinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
+    /// A binary operator and its precedence (higher binds tighter).
+    fn binop(t: &Tok) -> Option<(AstBinOp, u8)> {
+        Some(match t {
+            Tok::OrOr => (AstBinOp::Or, 1),
+            Tok::AndAnd => (AstBinOp::And, 2),
+            Tok::EqEq => (AstBinOp::Eq, 3),
+            Tok::NotEq => (AstBinOp::Ne, 3),
+            Tok::Lt => (AstBinOp::Lt, 3),
+            Tok::Le => (AstBinOp::Le, 3),
+            Tok::Gt => (AstBinOp::Gt, 3),
+            Tok::Ge => (AstBinOp::Ge, 3),
+            Tok::Plus => (AstBinOp::Add, 4),
+            Tok::Minus => (AstBinOp::Sub, 4),
+            Tok::Star => (AstBinOp::Mul, 5),
+            Tok::Slash => (AstBinOp::Div, 5),
+            Tok::Percent => (AstBinOp::Rem, 5),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Tok::AndAnd {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: AstBinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => AstBinOp::Eq,
-                Tok::NotEq => AstBinOp::Ne,
-                Tok::Lt => AstBinOp::Lt,
-                Tok::Le => AstBinOp::Le,
-                Tok::Gt => AstBinOp::Gt,
-                Tok::Ge => AstBinOp::Ge,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => AstBinOp::Add,
-                Tok::Minus => AstBinOp::Sub,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    /// Parses operators of precedence `min_prec` and above by precedence
+    /// climbing; each operator is left-associative, so a chain becomes a
+    /// left-deep tree. The tree's height counts toward [`MAX_NESTING`]:
+    /// each node sits one level above the taller of its two operands.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let base = self.depth;
+        let outer_peak = std::mem::replace(&mut self.peak, base);
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => AstBinOp::Mul,
-                Tok::Slash => AstBinOp::Div,
-                Tok::Percent => AstBinOp::Rem,
-                _ => break,
-            };
+        let mut height = self.peak - base;
+        while let Some((op, prec)) = Self::binop(self.peek()).filter(|&(_, p)| p >= min_prec) {
             let pos = self.pos();
             self.bump();
-            let rhs = self.unary_expr()?;
+            self.peak = base;
+            let rhs = self.binary(prec + 1)?;
+            height = height.max(self.peak - base) + 1;
+            if base + height > MAX_NESTING {
+                return Err(Self::too_deep(pos));
+            }
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -697,23 +674,24 @@ impl Parser {
                 pos,
             };
         }
+        self.peak = outer_peak.max(base + height);
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         let pos = self.pos();
-        if self.eat(&Tok::Minus) {
+        let op = match self.peek() {
+            Tok::Minus => Some(AstUnOp::Neg),
+            Tok::Not => Some(AstUnOp::Not),
+            _ => None,
+        };
+        if let Some(op) = op {
+            self.bump();
+            self.enter()?;
             let arg = self.unary_expr()?;
+            self.leave();
             return Ok(Expr::Unary {
-                op: AstUnOp::Neg,
-                arg: Box::new(arg),
-                pos,
-            });
-        }
-        if self.eat(&Tok::Not) {
-            let arg = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: AstUnOp::Not,
+                op,
                 arg: Box::new(arg),
                 pos,
             });
@@ -727,122 +705,113 @@ impl Parser {
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        let leaf = match self.peek() {
+            Tok::Int(v) => Expr::Int(*v, pos),
+            Tok::Double(v) => Expr::Double(*v, pos),
+            Tok::KwNull => Expr::Null(pos),
+            Tok::KwSizeof => return self.sizeof_expr(pos),
+            Tok::LParen => return self.paren_expr(pos),
+            Tok::Ident(_) => return self.name_expr(pos),
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.bump();
+        Ok(leaf)
+    }
+
+    /// `sizeof(Name)` or `sizeof(struct Name)`.
+    fn sizeof_expr(&mut self, pos: Pos) -> Result<Expr, ParseError> {
+        self.bump();
+        self.expect(Tok::LParen)?;
+        self.eat(&Tok::KwStruct);
+        let n = self.ident()?;
+        self.expect(Tok::RParen)?;
+        Ok(Expr::Sizeof(n, pos))
+    }
+
+    /// `(*p).f` or a parenthesized expression.
+    fn paren_expr(&mut self, pos: Pos) -> Result<Expr, ParseError> {
+        if self.peek2() == &Tok::Star {
+            let save = self.i;
+            self.bump(); // (
+            self.bump(); // *
+            if let Tok::Ident(base) = self.peek().clone() {
                 self.bump();
-                Ok(Expr::Int(v, pos))
-            }
-            Tok::Double(v) => {
-                self.bump();
-                Ok(Expr::Double(v, pos))
-            }
-            Tok::KwNull => {
-                self.bump();
-                Ok(Expr::Null(pos))
-            }
-            Tok::KwSizeof => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                // Accept `sizeof(Name)` and `sizeof(struct Name)`.
-                self.eat(&Tok::KwStruct);
-                let n = self.ident()?;
-                self.expect(Tok::RParen)?;
-                Ok(Expr::Sizeof(n, pos))
-            }
-            Tok::LParen => {
-                // `(*p).f` or parenthesized expression.
-                if self.peek2() == &Tok::Star {
-                    let save = self.i;
-                    self.bump(); // (
-                    self.bump(); // *
-                    if let Tok::Ident(base) = self.peek().clone() {
-                        self.bump();
-                        if self.eat(&Tok::RParen) && self.eat(&Tok::Dot) {
-                            let mut path = vec![self.ident()?];
-                            while self.eat(&Tok::Dot) {
-                                path.push(self.ident()?);
-                            }
-                            return Ok(Expr::FieldPath {
-                                base,
-                                arrow: true,
-                                path,
-                                pos,
-                            });
-                        }
-                    }
-                    self.i = save;
-                }
-                self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::RParen)?;
-                Ok(e)
-            }
-            Tok::Ident(name) => {
-                self.bump();
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen)?;
-                    let at = if self.eat(&Tok::At) {
-                        if self.eat(&Tok::KwOwnerOf) {
-                            self.expect(Tok::LParen)?;
-                            let p = self.ident()?;
-                            self.expect(Tok::RParen)?;
-                            Some(AtClause::OwnerOf(p))
-                        } else {
-                            let e = self.postfix_expr()?;
-                            Some(AtClause::Node(Box::new(e)))
-                        }
-                    } else {
-                        None
-                    };
-                    return Ok(Expr::Call {
-                        name,
-                        args,
-                        at,
+                if self.eat(&Tok::RParen) && self.eat(&Tok::Dot) {
+                    return Ok(Expr::FieldPath {
+                        base,
+                        arrow: true,
+                        path: self.field_path()?,
                         pos,
                     });
                 }
-                match self.peek() {
-                    Tok::Arrow => {
-                        self.bump();
-                        let mut path = vec![self.ident()?];
-                        while self.eat(&Tok::Dot) {
-                            path.push(self.ident()?);
-                        }
-                        Ok(Expr::FieldPath {
-                            base: name,
-                            arrow: true,
-                            path,
-                            pos,
-                        })
-                    }
-                    Tok::Dot => {
-                        self.bump();
-                        let mut path = vec![self.ident()?];
-                        while self.eat(&Tok::Dot) {
-                            path.push(self.ident()?);
-                        }
-                        Ok(Expr::FieldPath {
-                            base: name,
-                            arrow: false,
-                            path,
-                            pos,
-                        })
-                    }
-                    _ => Ok(Expr::Var(name, pos)),
+            }
+            self.i = save;
+        }
+        self.bump();
+        let e = self.expr()?;
+        self.expect(Tok::RParen)?;
+        Ok(e)
+    }
+
+    /// A call or field access starting with an identifier, or the plain
+    /// variable.
+    fn name_expr(&mut self, pos: Pos) -> Result<Expr, ParseError> {
+        let name = self.ident()?;
+        if self.peek() == &Tok::LParen {
+            return self.call_expr(name, pos);
+        }
+        let arrow = match self.peek() {
+            Tok::Arrow => true,
+            Tok::Dot => false,
+            _ => return Ok(Expr::Var(name, pos)),
+        };
+        self.bump();
+        Ok(Expr::FieldPath {
+            base: name,
+            arrow,
+            path: self.field_path()?,
+            pos,
+        })
+    }
+
+    /// The arguments and optional `@` clause of a call of `name`.
+    fn call_expr(&mut self, name: String, pos: Pos) -> Result<Expr, ParseError> {
+        self.bump();
+        let mut args = Vec::new();
+        if self.peek() != &Tok::RParen {
+            loop {
+                args.push(self.expr()?);
+                if !self.eat(&Tok::Comma) {
+                    break;
                 }
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
         }
+        self.expect(Tok::RParen)?;
+        let at = if !self.eat(&Tok::At) {
+            None
+        } else if self.eat(&Tok::KwOwnerOf) {
+            self.expect(Tok::LParen)?;
+            let p = self.ident()?;
+            self.expect(Tok::RParen)?;
+            Some(AtClause::OwnerOf(p))
+        } else {
+            Some(AtClause::Node(Box::new(self.postfix_expr()?)))
+        };
+        Ok(Expr::Call {
+            name,
+            args,
+            at,
+            pos,
+        })
+    }
+
+    /// `name (. name)*`: the field path after `->` or `.`.
+    fn field_path(&mut self) -> Result<Vec<String>, ParseError> {
+        let mut path = vec![self.ident()?];
+        while self.eat(&Tok::Dot) {
+            path.push(self.ident()?);
+        }
+        Ok(path)
     }
 }
 

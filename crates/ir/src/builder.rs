@@ -72,6 +72,11 @@ impl FunctionBuilder {
         })
     }
 
+    /// Sets the type of a temporary declared before its type was known.
+    pub fn set_temp_ty(&mut self, temp: VarId, ty: Ty) {
+        self.func.var_mut(temp).ty = ty;
+    }
+
     /// Read-only access to the function under construction.
     pub fn function(&self) -> &Function {
         &self.func

@@ -390,14 +390,14 @@ impl Obj {
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
-        bytes: src.as_bytes(),
+        src,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing data"));
     }
     Ok(v)
@@ -408,7 +408,7 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -423,7 +423,8 @@ impl Parser<'_> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -432,7 +433,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -445,7 +446,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &'static [u8], v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -485,7 +486,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.src[start..self.pos];
         if !fractional {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Value::Int(n));
@@ -519,7 +520,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex =
@@ -536,12 +538,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice; both are ASCII, so the run ends on a character
+                    // boundary of the source.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -646,6 +650,18 @@ mod tests {
         // The encoding never contains a raw control character.
         assert!(enc.chars().all(|c| (c as u32) >= 0x20), "{enc:?}");
         assert_eq!(parse(&enc).unwrap(), Value::Str(s));
+    }
+
+    #[test]
+    fn megabyte_string_decodes_in_linear_time() {
+        let unit = "plain ascii, λ → 🚀, \"quoted\" \\ tab\t ";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        let enc = Obj::new().str("source", &s).finish();
+        let start = std::time::Instant::now();
+        let v = parse(&enc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_object("doc").unwrap().get_str("source").unwrap(), s);
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub mod ring;
 pub mod server;
 pub mod stats;
 
+pub use net::MAX_LINE;
+
 use earth_ir::json::{self, Obj, ObjectExt as _};
 use proto::{Arg, CompileOptions};
 

@@ -278,7 +278,12 @@ impl<B: Backend> Inner<B> {
         }
     }
 
-    fn error(&self, id: u64, error: impl Into<String>, retry_after_ms: Option<u64>) -> Response {
+    pub(crate) fn error(
+        &self,
+        id: u64,
+        error: impl Into<String>,
+        retry_after_ms: Option<u64>,
+    ) -> Response {
         self.metrics.lock().expect("metrics lock").errors += 1;
         Response::Error {
             id,

@@ -436,3 +436,45 @@ fn malformed_lines_get_an_error_response() {
     client.shutdown().unwrap();
     join.join().unwrap();
 }
+
+#[test]
+fn oversized_line_is_rejected_while_other_clients_are_served() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let sender = {
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            // The daemon may stop listening once it has seen enough.
+            let _ = stream.write_all(&vec![b'x'; earth_serve::MAX_LINE + 100_000]);
+            let _ = stream.write_all(b"\n");
+        })
+    };
+    // A second client is answered while the first one is still sending.
+    let mut other = Client::connect(addr).unwrap();
+    other.ping().unwrap();
+
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::from_json(line.trim_end()).unwrap() {
+        Response::Error { id, error, .. } => {
+            assert_eq!(id, 0);
+            assert_eq!(
+                error,
+                format!("bad request: line exceeds {} bytes", earth_serve::MAX_LINE)
+            );
+        }
+        other => panic!("{other:?}"),
+    }
+    // Then the daemon ends its side of the connection.
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+    sender.join().unwrap();
+    stream.shutdown(std::net::Shutdown::Both).unwrap();
+
+    other.ping().unwrap();
+    assert_eq!(other.stats().unwrap().errors, 1);
+    other.shutdown().unwrap();
+    join.join().unwrap();
+}

@@ -79,6 +79,20 @@ struct ProfileState {
     epoch: u64,
 }
 
+/// Most incremental snapshots a backend keeps, as many as the artifact
+/// cache's default capacity. Each holds a whole program's per-function
+/// artifacts, so an unbounded store grows with every distinct function
+/// list the daemon compiles.
+pub const SNAPSHOT_CAPACITY: usize = 128;
+
+/// The snapshot store: snapshots by key, each stamped with when it was
+/// last stored, so the least recently stored can be evicted.
+#[derive(Default)]
+struct Snapshots {
+    map: HashMap<u64, (u64, Arc<PipelineSnapshot>)>,
+    clock: u64,
+}
+
 /// [`Backend`] over the full `earthc` [`Pipeline`].
 ///
 /// Stateless except for the accumulated PGO profile and the
@@ -92,7 +106,7 @@ struct ProfileState {
 /// re-optimizes only the functions the edit can affect.
 pub struct PipelineBackend {
     state: Mutex<ProfileState>,
-    snapshots: Mutex<HashMap<u64, Arc<PipelineSnapshot>>>,
+    snapshots: Mutex<Snapshots>,
     /// Where snapshot *inputs* are persisted across restarts (under
     /// `--spill DIR`); `None` = snapshots die with the process.
     snap_dir: Option<PathBuf>,
@@ -141,7 +155,7 @@ impl PipelineBackend {
                 profile: None,
                 epoch: 0,
             }),
-            snapshots: Mutex::new(HashMap::new()),
+            snapshots: Mutex::default(),
             snap_dir: None,
             backend: ExecBackend::Native,
         }
@@ -173,7 +187,7 @@ impl PipelineBackend {
                 profile: None,
                 epoch: 0,
             }),
-            snapshots: Mutex::new(HashMap::new()),
+            snapshots: Mutex::default(),
             snap_dir: Some(snap_dir.clone()),
             backend: ExecBackend::Native,
         };
@@ -195,6 +209,39 @@ impl PipelineBackend {
             // Deterministic replay repopulates the snapshot store; a
             // source that no longer compiles is simply dropped.
             let _ = self.compile(&source, &opts);
+        }
+    }
+
+    /// Stores `snapshot` under `key` and persists its inputs; past
+    /// [`SNAPSHOT_CAPACITY`], the least recently stored snapshot is
+    /// evicted along with its persisted inputs.
+    fn store_snapshot(
+        &self,
+        key: u64,
+        snapshot: Arc<PipelineSnapshot>,
+        source: &str,
+        opts: &CompileOptions,
+    ) {
+        let evicted = {
+            let mut s = self.snapshots.lock().expect("snapshot lock");
+            s.clock += 1;
+            let stamp = s.clock;
+            s.map.insert(key, (stamp, snapshot));
+            if s.map.len() > SNAPSHOT_CAPACITY {
+                let (&oldest, _) = s
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (stamp, _))| *stamp)
+                    .expect("store is over capacity");
+                s.map.remove(&oldest);
+                Some(oldest)
+            } else {
+                None
+            }
+        };
+        self.persist_snapshot_inputs(key, source, opts);
+        if let (Some(old), Some(dir)) = (evicted, &self.snap_dir) {
+            let _ = std::fs::remove_file(dir.join(format!("{}.json", key_hex(old))));
         }
     }
 
@@ -320,17 +367,14 @@ impl Backend for PipelineBackend {
             .snapshots
             .lock()
             .expect("snapshot lock")
+            .map
             .get(&snap_key)
-            .cloned();
+            .map(|(_, s)| Arc::clone(s));
         let (report, snapshot, inc) = pipeline
             .apply_passes_incremental(&mut prog, prev)
             .map_err(|e| e.to_string())?;
         if let Some(snapshot) = snapshot {
-            self.snapshots
-                .lock()
-                .expect("snapshot lock")
-                .insert(snap_key, snapshot);
-            self.persist_snapshot_inputs(snap_key, source, opts);
+            self.store_snapshot(snap_key, snapshot, source, opts);
         }
         let ir = earth_ir::pretty::print_program(&prog);
         let exec = earth_sim::compile(&prog, earth_sim::CodegenOptions::default())

@@ -346,3 +346,58 @@ fn daemon_survives_bad_programs() {
     client.shutdown().unwrap();
     join.join().unwrap();
 }
+
+#[test]
+fn daemon_survives_hostile_nesting() {
+    let (addr, _handle, join) = start(ServerConfig::default());
+    let n = 200_000;
+    let hostile = [
+        format!(
+            "int main() {{ return {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("int main(int v) {{ return v{}; }}", "+v".repeat(n)),
+    ];
+    let attacker = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        for src in &hostile {
+            match client.compile(src, CompileOptions::default()) {
+                Err(earthc::earth_serve::client::ClientError::Server { error }) => {
+                    assert!(error.contains("nesting too deep"), "{error}")
+                }
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
+    });
+    // A normal client is served meanwhile.
+    let mut client = Client::connect(addr).unwrap();
+    let (_, source) = sources().remove(0);
+    let (ir, _) = compile_ir(&mut client, &source);
+    assert_eq!(ir, reference_ir(&source));
+    attacker.join().unwrap();
+    // The daemon is still up.
+    client.ping().unwrap();
+    assert_eq!(client.stats().unwrap().errors, 2);
+    client.shutdown().unwrap();
+    join.join().unwrap();
+}
+
+/// The snapshot store is bounded: once `SNAPSHOT_CAPACITY` newer
+/// function lists have been compiled, the oldest snapshot is gone and
+/// an edit of that program recompiles cold.
+#[test]
+fn snapshot_store_evicts_the_least_recently_stored() {
+    let backend = PipelineBackend::new();
+    let opts = CompileOptions::default();
+    let tu = |f: &str, k: i64| {
+        format!("int {f}(int v) {{ return v + {k}; }}\nint g(int v) {{ return v; }}")
+    };
+    let reused = |src: String| backend.compile(&src, &opts).unwrap().functions_reused;
+    assert_eq!(reused(tu("f0", 1)), 0, "cold");
+    assert_eq!(reused(tu("f0", 2)), 1, "`g` splices from the snapshot");
+    for i in 1..=earthc::serve::SNAPSHOT_CAPACITY {
+        reused(tu(&format!("f{i}"), 1));
+    }
+    assert_eq!(reused(tu("f0", 3)), 0, "the oldest snapshot was evicted");
+}
