@@ -48,6 +48,16 @@ pub struct CacheStats {
     pub escalations: u64,
 }
 
+earth_ir::json_object! {
+    impl[] CacheStats as "cache" {
+        hits: u64 => "hits",
+        misses: u64 => "misses",
+        function_recomputes: u64 => "function_recomputes",
+        invalidations: u64 => "invalidations",
+        escalations: u64 => "escalations",
+    }
+}
+
 impl CacheStats {
     /// Component-wise difference `self - earlier` (saturating), used by the
     /// pass manager to attribute cache activity to individual passes.

@@ -9,8 +9,8 @@
 //! Diagnostics render two ways:
 //!
 //! * [`Diagnostic::render`] — human-readable terminal output;
-//! * [`Diagnostic::to_json`] / [`Diagnostic::from_json`] — a hand-rolled,
-//!   dependency-free machine-readable JSON encoding that round-trips exactly
+//! * [`Diagnostic::to_json`] / [`Diagnostic::from_json`] — a machine-readable
+//!   JSON encoding derived by [`crate::json_object!`] that round-trips exactly
 //!   (the workspace builds offline, so no serde).
 //!
 //! # Examples
@@ -29,7 +29,7 @@
 //! assert_eq!(d, back);
 //! ```
 
-use crate::json::{self, ObjectExt as _};
+use crate::json::{self, Decode, Encode, Value};
 use crate::stmt::Label;
 use std::fmt;
 
@@ -173,37 +173,7 @@ impl Diagnostic {
 
     /// Machine-readable JSON encoding (one object).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"code\":{}", json::string(&self.code)));
-        s.push_str(&format!(
-            ",\"severity\":{}",
-            json::string(self.severity.name())
-        ));
-        match &self.func {
-            Some(f) => s.push_str(&format!(",\"func\":{}", json::string(f))),
-            None => s.push_str(",\"func\":null"),
-        }
-        s.push_str(&format!(",\"message\":{}", json::string(&self.message)));
-        s.push_str(",\"labels\":[");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"label\":{},\"message\":{}}}",
-                l.label.0,
-                json::string(&l.message)
-            ));
-        }
-        s.push_str("],\"notes\":[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json::string(n));
-        }
-        s.push_str("]}");
-        s
+        json::encode(self)
     }
 
     /// Parses a diagnostic back from its [`Diagnostic::to_json`] encoding.
@@ -213,44 +183,49 @@ impl Diagnostic {
     /// Returns a [`JsonError`] for malformed JSON or a well-formed value of
     /// the wrong shape.
     pub fn from_json(src: &str) -> Result<Diagnostic, JsonError> {
-        let v = json::parse(src)?;
-        Self::from_value(&v)
+        json::decode(src)
     }
+}
 
-    fn from_value(v: &json::Value) -> Result<Diagnostic, JsonError> {
-        let obj = v.as_object("diagnostic")?;
-        let code = obj.get_str("code")?;
-        let severity = Severity::from_name(&obj.get_str("severity")?)
-            .ok_or_else(|| JsonError::shape("unknown severity"))?;
-        let func = match obj.field("func") {
-            None | Some(json::Value::Null) => None,
-            Some(json::Value::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(JsonError::shape("`func` must be a string or null")),
-        };
-        let message = obj.get_str("message")?;
-        let mut labels = Vec::new();
-        for lv in obj.get_array("labels")? {
-            let lo = lv.as_object("label entry")?;
-            labels.push(DiagLabel {
-                label: Label(lo.get_u32("label")?),
-                message: lo.get_str("message")?,
-            });
-        }
-        let mut notes = Vec::new();
-        for nv in obj.get_array("notes")? {
-            match nv {
-                json::Value::Str(s) => notes.push(s.clone()),
-                _ => return Err(JsonError::shape("notes must be strings")),
-            }
-        }
-        Ok(Diagnostic {
-            code,
-            severity,
-            func,
-            message,
-            labels,
-            notes,
-        })
+crate::json_object! {
+    impl[] Diagnostic as "diagnostic" {
+        code: String => "code",
+        severity: Severity => "severity",
+        func: Option<String> => "func" [null],
+        message: String => "message",
+        labels: Vec<DiagLabel> => "labels",
+        notes: Vec<String> => "notes" [with json::Items("notes must be strings")],
+    }
+}
+
+crate::json_object! {
+    impl[] DiagLabel as "label entry" {
+        label: Label => "label",
+        message: String => "message",
+    }
+}
+
+impl Encode for Severity {
+    fn encode(&self, out: &mut String) {
+        json::push_string(out, self.name());
+    }
+}
+
+impl Decode for Severity {
+    fn decode(v: &Value, what: &str) -> Result<Self, JsonError> {
+        Severity::from_name(v.as_str(what)?).ok_or_else(|| JsonError::shape("unknown severity"))
+    }
+}
+
+impl Encode for Label {
+    fn encode(&self, out: &mut String) {
+        self.0.encode(out);
+    }
+}
+
+impl Decode for Label {
+    fn decode(v: &Value, what: &str) -> Result<Self, JsonError> {
+        u32::decode(v, what).map(Label)
     }
 }
 
@@ -271,15 +246,7 @@ pub fn render_all(diags: &[Diagnostic]) -> String {
 
 /// Encodes a batch of diagnostics as a JSON array.
 pub fn to_json_array(diags: &[Diagnostic]) -> String {
-    let mut s = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&d.to_json());
-    }
-    s.push(']');
-    s
+    json::encode(diags)
 }
 
 /// Parses a batch of diagnostics from a JSON array.
@@ -288,16 +255,14 @@ pub fn to_json_array(diags: &[Diagnostic]) -> String {
 ///
 /// Returns a [`JsonError`] for malformed JSON or mis-shaped entries.
 pub fn from_json_array(src: &str) -> Result<Vec<Diagnostic>, JsonError> {
-    let v = json::parse(src)?;
-    let json::Value::Array(items) = v else {
+    let Value::Array(items) = json::parse(src)? else {
         return Err(JsonError::shape("expected a JSON array"));
     };
-    items.iter().map(Diagnostic::from_value).collect()
+    items
+        .iter()
+        .map(|d| Diagnostic::decode(d, "diagnostic"))
+        .collect()
 }
-
-// `JsonError` and the reader/writer live in [`crate::json`], shared by
-// every hand-rolled JSON surface in the workspace; `diag` re-exports the
-// error type so existing `diag::JsonError` users keep compiling.
 
 #[cfg(test)]
 mod tests {

@@ -59,7 +59,7 @@ pub use passes::{
 };
 
 use earth_analysis::{AnalysisCache, CacheStats};
-use earth_ir::json::string as json_string;
+use earth_ir::json::{self, Encode, Obj};
 use earth_ir::{Diagnostic, Program};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -181,42 +181,27 @@ impl PipelineReport {
         out
     }
 
-    /// Machine-readable JSON encoding (hand-rolled via the shared
-    /// [`earth_ir::json`] writer; the offline image has no serde).
+    /// Machine-readable JSON encoding (the `--report-json` output).
     pub fn to_json(&self) -> String {
-        let cache_json = |c: &CacheStats| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"function_recomputes\":{},\"invalidations\":{},\"escalations\":{}}}",
-                c.hits, c.misses, c.function_recomputes, c.invalidations, c.escalations
-            )
-        };
-        let mut s = String::from("{\"passes\":[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"wall_ns\":{},\"cache\":{},\"counters\":{{",
-                json_string(p.name),
-                p.wall.as_nanos(),
-                cache_json(&p.cache)
-            ));
-            for (j, (n, v)) in p.counters.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{}", json_string(n), v));
-            }
-            s.push_str("},\"diagnostics\":");
-            s.push_str(&earth_ir::diag::to_json_array(&p.diagnostics));
-            s.push('}');
-        }
-        s.push_str(&format!(
-            "],\"total_wall_ns\":{},\"cache\":{}}}",
-            self.total_wall().as_nanos(),
-            cache_json(&self.cache)
-        ));
-        s
+        Obj::new()
+            .field("passes", &self.passes)
+            .field("total_wall_ns", &self.total_wall().as_nanos())
+            .field("cache", &self.cache)
+            .finish()
+    }
+}
+
+impl Encode for PassReport {
+    fn encode(&self, out: &mut String) {
+        *out = Obj::append_to(std::mem::take(out))
+            .str("name", self.name)
+            .field("wall_ns", &self.wall.as_nanos())
+            .field("cache", &self.cache)
+            .field_with("counters", |out| {
+                json::encode_map(out, self.counters.iter().map(|(n, v)| (n, v)))
+            })
+            .field("diagnostics", &self.diagnostics)
+            .finish();
     }
 }
 

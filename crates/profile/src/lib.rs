@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use earth_ir::json;
+use earth_ir::json::{self, Decode as _, JsonError, Obj};
 use earth_ir::{assign_sites, FuncId, Function, Label, SiteId};
 pub use earth_sim::SiteCounters;
 use earth_sim::{CompiledProgram, SiteTrace};
@@ -133,24 +133,12 @@ impl Profile {
     /// whitespace, every counter field present. Equal profiles produce
     /// byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64 + self.sites.len() * 80);
-        s.push_str("{\"version\":");
-        s.push_str(&FORMAT_VERSION.to_string());
-        s.push_str(",\"sites\":{");
-        for (i, (site, c)) in self.sites.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            use std::fmt::Write;
-            json::push_string(&mut s, &site.to_string());
-            let _ = write!(
-                s,
-                ":{{\"execs\":{},\"bytes\":{},\"stall_ns\":{},\"taken\":{},\"not_taken\":{}}}",
-                c.execs, c.bytes, c.stall_ns, c.taken, c.not_taken
-            );
-        }
-        s.push_str("}}");
-        s
+        Obj::append_to(String::with_capacity(64 + self.sites.len() * 80))
+            .u64("version", FORMAT_VERSION)
+            .field_with("sites", |out| {
+                json::encode_map(out, self.sites.iter().map(|(s, c)| (s.to_string(), c)));
+            })
+            .finish()
     }
 
     /// Parses the JSON encoding produced by [`to_json`](Profile::to_json)
@@ -161,50 +149,29 @@ impl Profile {
     /// Returns a [`ProfileError`] describing the first syntax problem,
     /// unknown key, or version mismatch.
     pub fn from_json(text: &str) -> Result<Profile, ProfileError> {
-        let err = |message: String| ProfileError { pos: 0, message };
-        let v = json::parse(text).map_err(ProfileError::from)?;
-        let top = v.as_object("profile").map_err(ProfileError::from)?;
+        let v = json::parse(text)?;
         let mut profile = Profile::new();
         let mut version = None;
-        for (key, val) in top {
+        for (key, val) in v.as_object("profile")? {
             match key.as_str() {
-                "version" => {
-                    version = Some(val.as_u64("`version`").map_err(ProfileError::from)?);
-                }
+                "version" => version = Some(u64::decode(val, "`version`")?),
                 "sites" => {
-                    let sites = val.as_object("`sites`").map_err(ProfileError::from)?;
-                    for (site_key, counters) in sites {
-                        let site = SiteId::parse(site_key)
-                            .ok_or_else(|| err(format!("invalid site id `{site_key}`")))?;
-                        let fields = counters
-                            .as_object("site counters")
-                            .map_err(ProfileError::from)?;
-                        let mut c = SiteCounters::default();
-                        for (name, value) in fields {
-                            let n = value
-                                .as_u64(&format!("counter `{name}`"))
-                                .map_err(ProfileError::from)?;
-                            match name.as_str() {
-                                "execs" => c.execs = n,
-                                "bytes" => c.bytes = n,
-                                "stall_ns" => c.stall_ns = n,
-                                "taken" => c.taken = n,
-                                "not_taken" => c.not_taken = n,
-                                other => return Err(err(format!("unknown counter `{other}`"))),
-                            }
-                        }
-                        profile.record(site, c);
+                    for (site, counters) in val.as_object("`sites`")? {
+                        let id = SiteId::parse(site)
+                            .ok_or_else(|| JsonError::shape(format!("invalid site id `{site}`")))?;
+                        profile.record(id, SiteCounters::decode(counters, "site counters")?);
                     }
                 }
-                other => return Err(err(format!("unknown key `{other}`"))),
+                other => return Err(JsonError::shape(format!("unknown key `{other}`")).into()),
             }
         }
         match version {
             Some(FORMAT_VERSION) => Ok(profile),
-            Some(v) => Err(err(format!(
+            Some(v) => Err(JsonError::shape(format!(
                 "unsupported profile version {v} (expected {FORMAT_VERSION})"
-            ))),
-            None => Err(err("missing `version` field".into())),
+            ))
+            .into()),
+            None => Err(JsonError::shape("missing `version` field").into()),
         }
     }
 }

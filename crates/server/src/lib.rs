@@ -31,7 +31,7 @@ pub mod stats;
 
 pub use net::MAX_LINE;
 
-use earth_ir::json::{self, Obj, ObjectExt as _};
+use earth_ir::json;
 use proto::{Arg, CompileOptions};
 
 /// A cached compilation artifact.
@@ -58,33 +58,24 @@ pub struct Artifact<E> {
 impl<E> Artifact<E> {
     /// Spill-file encoding (everything except `exec`).
     pub fn to_spill_json(&self) -> String {
-        Obj::new()
-            .str("source", &self.source)
-            .bool("optimize", self.opts.optimize)
-            .bool("locality", self.opts.locality)
-            .bool("use_profile", self.opts.use_profile)
-            .str("ir", &self.ir)
-            .raw("report", &self.report)
-            .finish()
+        json::encode(self)
     }
 
     /// Restores an artifact (with `exec: None`) from
     /// [`Artifact::to_spill_json`] output. Returns `None` on any
     /// malformed input — a corrupt spill file is just a cache miss.
     pub fn from_spill_json(text: &str) -> Option<Artifact<E>> {
-        let v = json::parse(text).ok()?;
-        let obj = v.as_object("artifact").ok()?;
-        Some(Artifact {
-            source: obj.get_str("source").ok()?,
-            opts: CompileOptions {
-                optimize: obj.get_bool("optimize").ok()?,
-                locality: obj.get_bool("locality").ok()?,
-                use_profile: obj.get_bool("use_profile").ok()?,
-            },
-            ir: obj.get_str("ir").ok()?,
-            report: obj.field("report").map(json::Value::render)?,
-            exec: None,
-        })
+        json::decode(text).ok()
+    }
+}
+
+earth_ir::json_object! {
+    impl[E] Artifact<E> as "artifact" {
+        source: String => "source",
+        opts: CompileOptions => ..,
+        ir: String => "ir",
+        report: String => "report" [with json::Raw],
+        exec: Option<E> => _,
     }
 }
 

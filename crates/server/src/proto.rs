@@ -14,7 +14,9 @@
 //! ```
 
 use crate::stats::ServerStats;
-use earth_ir::json::{self, Obj, ObjectExt as _, Value};
+use earth_ir::json::{
+    self, Decode, Encode, Items, JsonError, Obj, ObjectExt as _, Raw, Value, With,
+};
 
 /// Wire protocol version; requests with another version are rejected.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -45,22 +47,11 @@ impl Default for CompileOptions {
     }
 }
 
-impl CompileOptions {
-    fn to_json(&self) -> String {
-        Obj::new()
-            .bool("optimize", self.optimize)
-            .bool("locality", self.locality)
-            .bool("use_profile", self.use_profile)
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<CompileOptions, json::JsonError> {
-        let obj = v.as_object("opts")?;
-        Ok(CompileOptions {
-            optimize: obj.get_bool("optimize")?,
-            locality: obj.get_bool("locality")?,
-            use_profile: obj.get_bool("use_profile")?,
-        })
+earth_ir::json_object! {
+    impl[] CompileOptions as "opts" {
+        optimize: bool => "optimize",
+        locality: bool => "locality",
+        use_profile: bool => "use_profile",
     }
 }
 
@@ -73,30 +64,40 @@ pub enum Arg {
     Double(f64),
 }
 
-fn args_to_json(args: &[Arg]) -> String {
-    let mut s = String::from("[");
-    for (i, a) in args.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        match a {
-            Arg::Int(n) => s.push_str(&n.to_string()),
-            Arg::Double(x) => s.push_str(&json::float(*x)),
+impl Encode for Arg {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Arg::Int(n) => n.encode(out),
+            Arg::Double(x) => x.encode(out),
         }
     }
-    s.push(']');
-    s
 }
 
-fn args_from_value(v: &Value) -> Result<Vec<Arg>, json::JsonError> {
-    v.as_array("args")?
-        .iter()
-        .map(|item| match item {
+impl Decode for Arg {
+    fn decode(v: &Value, _what: &str) -> Result<Self, JsonError> {
+        match v {
             Value::Int(n) => Ok(Arg::Int(*n)),
+            Value::UInt(n) => Ok(Arg::Double(*n as f64)),
             Value::Float(x) => Ok(Arg::Double(*x)),
-            _ => Err(json::JsonError::shape("args must be numbers")),
-        })
-        .collect()
+            _ => Err(JsonError::shape("args must be numbers")),
+        }
+    }
+}
+
+/// The `args` wire form: absent or `null` is no arguments.
+struct Args;
+
+impl With<Vec<Arg>> for Args {
+    fn encode(&self, v: &Vec<Arg>, out: &mut String) {
+        v.encode(out);
+    }
+
+    fn decode(&self, field: Option<&Value>, key: &str) -> Result<Vec<Arg>, JsonError> {
+        match field {
+            None | Some(Value::Null) => Ok(Vec::new()),
+            Some(v) => Vec::decode(v, key),
+        }
+    }
 }
 
 /// The request body, by endpoint.
@@ -147,18 +148,29 @@ pub enum RequestKind {
     Shutdown,
 }
 
-impl RequestKind {
-    /// The endpoint name used in stats and dispatch.
-    pub fn endpoint(&self) -> &'static str {
-        match self {
-            RequestKind::Compile { .. } => "compile",
-            RequestKind::Run { .. } => "run",
-            RequestKind::Pgo { .. } => "pgo",
-            RequestKind::Lint { .. } => "lint",
-            RequestKind::Stats => "stats",
-            RequestKind::Ping => "ping",
-            RequestKind::Shutdown => "shutdown",
-        }
+earth_ir::json_object! {
+    enum RequestKind as endpoint {
+        Compile = "compile" {
+            source: String => "source",
+            opts: CompileOptions => "opts",
+        },
+        Run = "run" {
+            source: String => "source",
+            opts: CompileOptions => "opts",
+            entry: String => "entry" [or "main".into()],
+            nodes: u16 => "nodes" [or 1],
+            args: Vec<Arg> => "args" [with Args],
+        },
+        Pgo = "pgo" {
+            source: String => "source",
+            entry: String => "entry" [or "main".into()],
+            nodes: u16 => "nodes" [or 1],
+            args: Vec<Arg> => "args" [with Args],
+        },
+        Lint = "lint" { source: String => "source" },
+        Stats = "stats" {},
+        Ping = "ping" {},
+        Shutdown = "shutdown" {},
     }
 }
 
@@ -193,38 +205,7 @@ impl Request {
         if self.fwd {
             o = o.bool("fwd", true);
         }
-        match &self.kind {
-            RequestKind::Compile { source, opts } => o
-                .str("source", source)
-                .raw("opts", &opts.to_json())
-                .finish(),
-            RequestKind::Run {
-                source,
-                opts,
-                entry,
-                nodes,
-                args,
-            } => o
-                .str("source", source)
-                .raw("opts", &opts.to_json())
-                .str("entry", entry)
-                .u64("nodes", *nodes as u64)
-                .raw("args", &args_to_json(args))
-                .finish(),
-            RequestKind::Pgo {
-                source,
-                entry,
-                nodes,
-                args,
-            } => o
-                .str("source", source)
-                .str("entry", entry)
-                .u64("nodes", *nodes as u64)
-                .raw("args", &args_to_json(args))
-                .finish(),
-            RequestKind::Lint { source } => o.str("source", source).finish(),
-            RequestKind::Stats | RequestKind::Ping | RequestKind::Shutdown => o.finish(),
-        }
+        self.kind.write_variant(o).finish()
     }
 
     /// Decodes one request line.
@@ -243,67 +224,11 @@ impl Request {
             )));
         }
         let id = obj.get_u64("id")?;
-        let deadline_ms = match obj.field("deadline_ms") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_u64("`deadline_ms`")?),
-        };
+        let deadline_ms = json::optional(obj, "deadline_ms", "`deadline_ms`")?;
         let fwd = matches!(obj.field("fwd"), Some(Value::Bool(true)));
         let cmd = obj.get_str("cmd")?;
-        let entry_or_main = || -> Result<String, json::JsonError> {
-            match obj.field("entry") {
-                None | Some(Value::Null) => Ok("main".into()),
-                Some(v) => Ok(v.as_str("`entry`")?.to_string()),
-            }
-        };
-        let nodes = || -> Result<u16, json::JsonError> {
-            match obj.field("nodes") {
-                None | Some(Value::Null) => Ok(1),
-                Some(v) => {
-                    let n = v.as_u64("`nodes`")?;
-                    u16::try_from(n).map_err(|_| json::JsonError::shape("`nodes` must fit u16"))
-                }
-            }
-        };
-        let args = || -> Result<Vec<Arg>, json::JsonError> {
-            match obj.field("args") {
-                None | Some(Value::Null) => Ok(Vec::new()),
-                Some(v) => args_from_value(v),
-            }
-        };
-        let kind = match cmd.as_str() {
-            "compile" => RequestKind::Compile {
-                source: obj.get_str("source")?,
-                opts: CompileOptions::from_value(
-                    obj.field("opts")
-                        .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
-                )?,
-            },
-            "run" => RequestKind::Run {
-                source: obj.get_str("source")?,
-                opts: CompileOptions::from_value(
-                    obj.field("opts")
-                        .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
-                )?,
-                entry: entry_or_main()?,
-                nodes: nodes()?,
-                args: args()?,
-            },
-            "pgo" => RequestKind::Pgo {
-                source: obj.get_str("source")?,
-                entry: entry_or_main()?,
-                nodes: nodes()?,
-                args: args()?,
-            },
-            "lint" => RequestKind::Lint {
-                source: obj.get_str("source")?,
-            },
-            "stats" => RequestKind::Stats,
-            "ping" => RequestKind::Ping,
-            "shutdown" => RequestKind::Shutdown,
-            other => {
-                return Err(json::JsonError::shape(format!("unknown cmd `{other}`")));
-            }
-        };
+        let kind = RequestKind::read_variant(&cmd, obj)?
+            .ok_or_else(|| JsonError::shape(format!("unknown cmd `{cmd}`")))?;
         Ok(Request {
             id,
             deadline_ms,
@@ -426,93 +351,12 @@ impl Response {
 
     /// Encodes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        match self {
-            Response::Error {
-                id,
-                error,
-                retry_after_ms,
-            } => {
-                let mut o = Obj::new()
-                    .u64("id", *id)
-                    .bool("ok", false)
-                    .str("error", error);
-                if let Some(ms) = retry_after_ms {
-                    o = o.u64("retry_after_ms", *ms);
-                }
-                o.finish()
-            }
-            Response::Compile {
-                id,
-                key,
-                cached,
-                ir,
-                report,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "compile")
-                .str("key", key)
-                .bool("cached", *cached)
-                .str("ir", ir)
-                .raw("report", report)
-                .finish(),
-            Response::Run {
-                id,
-                key,
-                cached,
-                ret,
-                time_ns,
-                stats,
-                output,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "run")
-                .str("key", key)
-                .bool("cached", *cached)
-                .str("ret", ret)
-                .u64("time_ns", *time_ns)
-                .str("stats", stats)
-                .str_array("output", output)
-                .finish(),
-            Response::Pgo {
-                id,
-                sites,
-                merged_sites,
-                invalidated,
-                ret,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "pgo")
-                .u64("sites", *sites)
-                .u64("merged_sites", *merged_sites)
-                .u64("invalidated", *invalidated)
-                .str("ret", ret)
-                .finish(),
-            Response::Lint {
-                id,
-                independent,
-                diagnostics,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "lint")
-                .bool("independent", *independent)
-                .raw("diagnostics", diagnostics)
-                .finish(),
-            Response::Stats { id, stats } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "stats")
-                .raw("stats", &stats.to_json())
-                .finish(),
-            Response::Ok { id } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "ok")
-                .finish(),
-        }
+        let o = Obj::new().u64("id", self.id());
+        let o = match self {
+            Response::Error { .. } => o.bool("ok", false),
+            _ => o.bool("ok", true).str("kind", self.kind()),
+        };
+        self.write_variant(o).finish()
     }
 
     /// Decodes one response line.
@@ -525,67 +369,65 @@ impl Response {
         let v = json::parse(src)?;
         let obj = v.as_object("response")?;
         let id = obj.get_u64("id")?;
-        if !obj.get_bool("ok")? {
-            return Ok(Response::Error {
-                id,
-                error: obj.get_str("error")?,
-                retry_after_ms: match obj.field("retry_after_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_u64("`retry_after_ms`")?),
-                },
-            });
-        }
-        let kind = obj.get_str("kind")?;
-        let raw = |key: &str| -> Result<String, json::JsonError> {
-            obj.field(key)
-                .map(Value::render)
-                .ok_or_else(|| json::JsonError::shape(format!("missing `{key}`")))
+        // `Error` is the one variant written with `ok: false` and no kind.
+        let ok = obj.get_bool("ok")?;
+        let kind = if ok {
+            obj.get_str("kind")?
+        } else {
+            ERROR.into()
         };
-        match kind.as_str() {
-            "compile" => Ok(Response::Compile {
-                id,
-                key: obj.get_str("key")?,
-                cached: obj.get_bool("cached")?,
-                ir: obj.get_str("ir")?,
-                report: raw("report")?,
-            }),
-            "run" => Ok(Response::Run {
-                id,
-                key: obj.get_str("key")?,
-                cached: obj.get_bool("cached")?,
-                ret: obj.get_str("ret")?,
-                time_ns: obj.get_u64("time_ns")?,
-                stats: obj.get_str("stats")?,
-                output: obj
-                    .get_array("output")?
-                    .iter()
-                    .map(|v| v.as_str("output line").map(str::to_string))
-                    .collect::<Result<_, _>>()?,
-            }),
-            "pgo" => Ok(Response::Pgo {
-                id,
-                sites: obj.get_u64("sites")?,
-                merged_sites: obj.get_u64("merged_sites")?,
-                invalidated: obj.get_u64("invalidated")?,
-                ret: obj.get_str("ret")?,
-            }),
-            "lint" => Ok(Response::Lint {
-                id,
-                independent: obj.get_bool("independent")?,
-                diagnostics: raw("diagnostics")?,
-            }),
-            "stats" => Ok(Response::Stats {
-                id,
-                stats: Box::new(ServerStats::from_value(
-                    obj.field("stats")
-                        .ok_or_else(|| json::JsonError::shape("missing `stats`"))?,
-                )?),
-            }),
-            "ok" => Ok(Response::Ok { id }),
-            other => Err(json::JsonError::shape(format!(
-                "unknown response kind `{other}`"
-            ))),
+        let unknown = || JsonError::shape(format!("unknown response kind `{kind}`"));
+        if ok && kind == ERROR {
+            return Err(unknown());
         }
+        let resp = Response::read_variant(&kind, obj)?.ok_or_else(unknown)?;
+        Ok(resp.with_id(id))
+    }
+}
+
+/// The tag of [`Response::Error`], which is never written as a `kind`.
+const ERROR: &str = "error";
+
+earth_ir::json_object! {
+    enum Response as kind {
+        Error = "error" {
+            id: u64 => _,
+            error: String => "error",
+            retry_after_ms: Option<u64> => "retry_after_ms" [omit],
+        },
+        Compile = "compile" {
+            id: u64 => _,
+            key: String => "key",
+            cached: bool => "cached",
+            ir: String => "ir",
+            report: String => "report" [with Raw],
+        },
+        Run = "run" {
+            id: u64 => _,
+            key: String => "key",
+            cached: bool => "cached",
+            ret: String => "ret",
+            time_ns: u64 => "time_ns",
+            stats: String => "stats",
+            output: Vec<String> => "output" [with Items("output line must be a string")],
+        },
+        Pgo = "pgo" {
+            id: u64 => _,
+            sites: u64 => "sites",
+            merged_sites: u64 => "merged_sites",
+            invalidated: u64 => "invalidated",
+            ret: String => "ret",
+        },
+        Lint = "lint" {
+            id: u64 => _,
+            independent: bool => "independent",
+            diagnostics: String => "diagnostics" [with Raw],
+        },
+        Stats = "stats" {
+            id: u64 => _,
+            stats: Box<ServerStats> => "stats",
+        },
+        Ok = "ok" { id: u64 => _ },
     }
 }
 
@@ -715,6 +557,29 @@ mod tests {
             let line = resp.to_json();
             assert!(!line.contains('\n'), "{line}");
             assert_eq!(Response::from_json(&line).unwrap(), resp, "{line}");
+        }
+    }
+
+    #[test]
+    fn ids_round_trip_across_the_u64_range() {
+        for id in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let req = Request {
+                id,
+                deadline_ms: Some(id),
+                fwd: false,
+                kind: RequestKind::Ping,
+            };
+            assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
+            for resp in [
+                Response::Ok { id },
+                Response::Error {
+                    id,
+                    error: "e".into(),
+                    retry_after_ms: Some(id),
+                },
+            ] {
+                assert_eq!(Response::from_json(&resp.to_json()).unwrap(), resp);
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 
 use earth_serve::client::{Client, ClientError};
 use earth_serve::hash::Fnv1a;
-use earth_serve::proto::{Arg, CompileOptions, Response};
+use earth_serve::proto::{Arg, CompileOptions, Request, RequestKind, Response};
 use earth_serve::server::{Server, ServerConfig, ServerHandle};
 use earth_serve::{Artifact, Backend, CompileOutput, LintOutput, PgoOutput, RunOutput};
 use std::net::SocketAddr;
@@ -438,6 +438,33 @@ fn malformed_lines_get_an_error_response() {
 }
 
 #[test]
+fn ids_above_i64_max_are_echoed() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let id = (1u64 << 63) + 7;
+    let req = Request {
+        id,
+        deadline_ms: None,
+        fwd: false,
+        kind: RequestKind::Ping,
+    };
+    stream
+        .write_all(format!("{}\n", req.to_json()).as_bytes())
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert_eq!(
+        Response::from_json(line.trim_end()).unwrap(),
+        Response::Ok { id }
+    );
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().errors, 0);
+    client.shutdown().unwrap();
+    join.join().unwrap();
+}
+
+#[test]
 fn oversized_line_is_rejected_while_other_clients_are_served() {
     use std::io::{BufRead, BufReader, Write};
     let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
@@ -477,4 +504,54 @@ fn oversized_line_is_rejected_while_other_clients_are_served() {
     assert_eq!(other.stats().unwrap().errors, 1);
     other.shutdown().unwrap();
     join.join().unwrap();
+}
+
+#[test]
+fn endless_streams_do_not_starve_other_clients() {
+    use std::io::Write;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::Instant;
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let stop = Arc::new(AtomicBool::new(false));
+    // One client streams a line that never ends (rejected past MAX_LINE,
+    // then discarded), another an endless run of blank lines.
+    let streams: Vec<_> = [b'x', b'\n']
+        .into_iter()
+        .map(|byte| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let chunk = vec![byte; 64 * 1024];
+                while !stop.load(Ordering::Relaxed) && stream.write_all(&chunk).is_ok() {}
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    // Pings run on their own thread, so a starved loop fails the test
+    // instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let pinger = std::thread::spawn(move || {
+        let mut other = Client::connect(addr).unwrap();
+        for _ in 0..20 {
+            other.ping().unwrap();
+            tx.send(()).unwrap();
+        }
+        other
+    });
+    for i in 0..20 {
+        let started = Instant::now();
+        let answered = rx.recv_timeout(Duration::from_secs(5));
+        assert!(
+            answered.is_ok(),
+            "ping {i} unanswered after {:?}",
+            started.elapsed()
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    pinger.join().unwrap().shutdown().unwrap();
+    join.join().unwrap();
+    for s in streams {
+        s.join().unwrap();
+    }
 }

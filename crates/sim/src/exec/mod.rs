@@ -3,7 +3,7 @@
 //!
 //! Two backends execute the same [`CompiledProgram`]s:
 //!
-//! * **interp** — [`Machine`](crate::Machine), the original op-at-a-time
+//! * **interp** — [`Machine`], the original op-at-a-time
 //!   interpreter; the semantic reference.
 //! * **native** — [`NativeMachine`] running a [`NativeProgram`]: a
 //!   pre-decoding pass resolves every jump target, field offset, and
@@ -14,7 +14,7 @@
 //! Both produce cycle- and byte-identical [`RunResult`]s (including
 //! [`SiteTrace`](crate::SiteTrace) PGO counters and stall accounting)
 //! because all outcome-determining state lives in the shared
-//! [`account`] layer and every native handler replicates the
+//! `account` layer and every native handler replicates the
 //! interpreter's micro-op ordering. The differential suites
 //! (`tests/prop_exec.rs`, `tests/exec_sweep.rs`) enforce the contract.
 

@@ -262,6 +262,16 @@ pub struct SiteCounters {
     pub not_taken: u64,
 }
 
+earth_ir::json_object! {
+    impl[] SiteCounters as "site counters", unknown "counter" {
+        execs: u64 => "execs",
+        bytes: u64 => "bytes",
+        stall_ns: u64 => "stall_ns",
+        taken: u64 => "taken",
+        not_taken: u64 => "not_taken",
+    }
+}
+
 impl SiteCounters {
     /// Whether nothing was recorded at this site.
     pub fn is_zero(&self) -> bool {

@@ -31,7 +31,7 @@
 //! `functions_reoptimized` / `escalations`.
 
 use crate::{CommOptConfig, ExecBackend, Pipeline, PipelineSnapshot, Profile, ProfileDb, Value};
-use earth_ir::json::{self, Obj, ObjectExt as _};
+use earth_ir::json;
 use earth_serve::cluster::ClusterConfig;
 use earth_serve::hash::{key_hex, Fnv1a};
 use earth_serve::proto::{Arg, CompileOptions, PROTOCOL_VERSION};
@@ -124,26 +124,16 @@ impl Default for PipelineBackend {
 }
 
 /// The persisted form of one snapshot's producing inputs.
-fn encode_snapshot_inputs(source: &str, opts: &CompileOptions) -> String {
-    Obj::new()
-        .str("source", source)
-        .bool("optimize", opts.optimize)
-        .bool("locality", opts.locality)
-        .bool("use_profile", opts.use_profile)
-        .finish()
+struct SnapshotInputs {
+    source: String,
+    opts: CompileOptions,
 }
 
-fn decode_snapshot_inputs(text: &str) -> Option<(String, CompileOptions)> {
-    let v = json::parse(text).ok()?;
-    let o = v.as_object("snapshot inputs").ok()?;
-    Some((
-        o.get_str("source").ok()?,
-        CompileOptions {
-            optimize: o.get_bool("optimize").ok()?,
-            locality: o.get_bool("locality").ok()?,
-            use_profile: o.get_bool("use_profile").ok()?,
-        },
-    ))
+earth_ir::json_object! {
+    impl[] SnapshotInputs as "snapshot inputs" {
+        source: String => "source",
+        opts: CompileOptions => ..,
+    }
 }
 
 impl PipelineBackend {
@@ -203,7 +193,7 @@ impl PipelineBackend {
             let Ok(text) = std::fs::read_to_string(entry.path()) else {
                 continue;
             };
-            let Some((source, opts)) = decode_snapshot_inputs(&text) else {
+            let Ok(SnapshotInputs { source, opts }) = json::decode(&text) else {
                 continue;
             };
             // Deterministic replay repopulates the snapshot store; a
@@ -254,7 +244,11 @@ impl PipelineBackend {
             return;
         }
         let path = dir.join(format!("{}.json", key_hex(key)));
-        let _ = std::fs::write(path, encode_snapshot_inputs(source, opts));
+        let inputs = SnapshotInputs {
+            source: source.to_string(),
+            opts: opts.clone(),
+        };
+        let _ = std::fs::write(path, json::encode(&inputs));
     }
 
     /// The pipeline a request's options describe. `entry`/`nodes` are
