@@ -11,6 +11,7 @@
 //! is exactly how the daemon amortizes it through its artifact cache.
 
 use earth_commopt::CommOptConfig;
+use earth_ir::json::Obj;
 use earth_olden::{build_ir, Benchmark, Build, Preset};
 use earth_sim::{
     CodegenOptions, ExecBackend, Machine, MachineConfig, NativeMachine, NativeProgram, Value,
@@ -30,6 +31,9 @@ pub struct ExecResult {
     /// The virtual completion time both backends computed (asserted
     /// equal before timing).
     pub virtual_ns: u64,
+    /// Simulated operations (dispatches) per run, equal on both
+    /// backends.
+    pub ops: u64,
     /// Whether the full results matched byte for byte (asserted, so
     /// always true in a produced artifact).
     pub identical: bool,
@@ -39,6 +43,16 @@ impl ExecResult {
     /// Interpreter-over-native run-latency ratio.
     pub fn speedup(&self) -> f64 {
         self.interp_ns as f64 / self.native_ns.max(1) as f64
+    }
+
+    /// Host nanoseconds per simulated operation on the interpreter.
+    pub fn interp_ns_per_op(&self) -> f64 {
+        self.interp_ns as f64 / self.ops.max(1) as f64
+    }
+
+    /// Host nanoseconds per simulated operation on the native tier.
+    pub fn native_ns_per_op(&self) -> f64 {
+        self.native_ns as f64 / self.ops.max(1) as f64
     }
 }
 
@@ -124,6 +138,7 @@ pub fn run_exec_bench(bench: &Benchmark, preset: Preset, nodes: u16, iters: u32)
         interp_ns,
         native_ns,
         virtual_ns: a.time_ns,
+        ops: a.stats.ops,
         identical: true,
     }
 }
@@ -131,29 +146,44 @@ pub fn run_exec_bench(bench: &Benchmark, preset: Preset, nodes: u16, iters: u32)
 /// Renders one kernel's row for the terminal.
 pub fn render_exec(r: &ExecResult) -> String {
     format!(
-        "{:<10} interp {:>12} ns | native {:>12} ns | {:>6.1}x | identical {}\n",
+        "{:<10} interp {:>12} ns ({:>6.1} ns/op) | native {:>12} ns ({:>5.1} ns/op) | {:>6.1}x | identical {}\n",
         r.bench,
         r.interp_ns,
+        r.interp_ns_per_op(),
         r.native_ns,
+        r.native_ns_per_op(),
         r.speedup(),
         r.identical
     )
 }
 
-/// The `BENCH_exec.json` document.
-pub fn to_json(results: &[ExecResult], preset: Preset, nodes: u16) -> String {
+/// The `BENCH_exec.json` document. `host` is the already-encoded host
+/// object (see [`host_json`]).
+pub fn to_json(
+    results: &[ExecResult],
+    preset: Preset,
+    nodes: u16,
+    iters: u32,
+    host: &str,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"artifact\": \"BENCH_exec\",\n");
+    out.push_str(&format!("  \"host\": {host},\n"));
     out.push_str(&format!("  \"preset\": \"{preset:?}\",\n"));
     out.push_str(&format!("  \"nodes\": {nodes},\n"));
+    out.push_str(&format!("  \"iters\": {iters},\n"));
     out.push_str("  \"kernels\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"interp_ns\": {}, \"native_ns\": {}, \"speedup\": {:.2}, \
+            "    {{\"name\": \"{}\", \"ops\": {}, \"interp_ns\": {}, \"native_ns\": {}, \
+             \"interp_ns_per_op\": {:.2}, \"native_ns_per_op\": {:.2}, \"speedup\": {:.2}, \
              \"virtual_ns\": {}, \"identical\": {}}}{}\n",
             r.bench,
+            r.ops,
             r.interp_ns,
             r.native_ns,
+            r.interp_ns_per_op(),
+            r.native_ns_per_op(),
             r.speedup(),
             r.virtual_ns,
             r.identical,
@@ -164,4 +194,25 @@ pub fn to_json(results: &[ExecResult], preset: Preset, nodes: u16) -> String {
     out.push_str(&format!("  \"geomean_speedup\": {:.2}\n", geomean(results)));
     out.push_str("}\n");
     out
+}
+
+/// The `host` object of a benchmark artifact: CPU model, logical CPUs,
+/// the compiler that built the benchmark, and the command that
+/// reproduces the artifact.
+pub fn host_json(command: &str) -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Obj::new()
+        .str("cpu", &cpu)
+        .u64("nproc", nproc as u64)
+        .str("rustc", env!("BENCH_RUSTC_VERSION"))
+        .str("command", command)
+        .finish()
 }

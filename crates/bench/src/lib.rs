@@ -40,13 +40,20 @@ use earth_olden::Preset;
 /// Parses the common `--small` / `--full` / `--test` size flags
 /// (default: `Preset::Small`).
 pub fn preset_from_args() -> Preset {
+    preset_from_args_or(Preset::Small)
+}
+
+/// [`preset_from_args`] with another default.
+pub fn preset_from_args_or(default: Preset) -> Preset {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--full") {
         Preset::Full
     } else if args.iter().any(|a| a == "--test") {
         Preset::Test
-    } else {
+    } else if args.iter().any(|a| a == "--small") {
         Preset::Small
+    } else {
+        default
     }
 }
 

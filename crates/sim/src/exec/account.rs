@@ -82,6 +82,13 @@ impl FrameStack {
         }
     }
 
+    /// Empties the stack down to `root`, keeping the spill capacity.
+    pub fn reset(&mut self, root: ActRec) {
+        self.inline[0] = root;
+        self.len = 1;
+        self.spill.clear();
+    }
+
     #[inline]
     pub fn push(&mut self, r: ActRec) {
         if self.len < INLINE_FRAMES {
@@ -137,6 +144,33 @@ pub(crate) struct Thread {
     pub outstanding_children: u32,
     pub waiting_join: bool,
     pub writes_done_at: u64,
+}
+
+impl Thread {
+    /// A blocked thread on `node` running `root`.
+    pub fn new(node: NodeId, root: ActRec, parent: ParentLink) -> Self {
+        Thread {
+            node,
+            stack: FrameStack::new(root),
+            state: ThreadState::Blocked,
+            parent,
+            outstanding_children: 0,
+            waiting_join: false,
+            writes_done_at: 0,
+        }
+    }
+
+    /// Turns a finished record into [`Thread::new`]'s, keeping the
+    /// stack's spill capacity.
+    pub fn reuse(&mut self, node: NodeId, root: ActRec, parent: ParentLink) {
+        self.node = node;
+        self.stack.reset(root);
+        self.state = ThreadState::Blocked;
+        self.parent = parent;
+        self.outstanding_children = 0;
+        self.waiting_join = false;
+        self.writes_done_at = 0;
+    }
 }
 
 #[derive(Debug, Default, Clone, Copy)]

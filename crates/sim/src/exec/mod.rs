@@ -76,7 +76,8 @@ impl fmt::Display for ExecBackend {
 /// Runs `func` with `args` on the chosen backend. For the native backend
 /// this pre-decodes the program first; callers running the same program
 /// repeatedly should compile a [`NativeProgram`] once and drive a
-/// [`NativeMachine`] directly.
+/// [`NativeMachine`] directly, [`reset`](NativeMachine::reset) between
+/// runs.
 ///
 /// # Errors
 ///
@@ -104,8 +105,10 @@ mod tests {
 
     /// Runs `src` on both backends and asserts the full results —
     /// return value, virtual time, stats, output, per-node busy time,
-    /// site trace, op histogram — are identical.
-    fn assert_identical(src: &str, nodes: u16, args: &[Value]) {
+    /// site trace, op histogram — or the errors are identical. The
+    /// native side runs twice: on a fresh machine and on one reset after
+    /// an unrelated run on another node count, which must not differ.
+    fn run_both(src: &str, nodes: u16, args: &[Value]) -> Result<RunResult, SimError> {
         let prog = earth_frontend::compile(src).expect("frontend");
         let compiled = compile(
             &prog,
@@ -122,20 +125,33 @@ mod tests {
             ..MachineConfig::default()
         };
         let a = run_compiled(ExecBackend::Interp, cfg.clone(), &compiled, entry, args);
-        let b = run_compiled(ExecBackend::Native, cfg, &compiled, entry, args);
-        match (a, b) {
-            (Ok(x), Ok(y)) => {
-                assert_eq!(x.ret, y.ret);
-                assert_eq!(x.time_ns, y.time_ns, "virtual completion time");
-                assert_eq!(x.stats, y.stats);
-                assert_eq!(x.output, y.output);
-                assert_eq!(x.node_busy_ns, y.node_busy_ns);
-                assert_eq!(x.site_trace.per_site, y.site_trace.per_site);
-                assert_eq!(x.op_stats, y.op_stats);
-                assert_eq!(x.op_stats.total(), x.stats.ops);
+        let b = run_compiled(ExecBackend::Native, cfg.clone(), &compiled, entry, args);
+        let np = NativeProgram::compile(&compiled, &cfg.cost);
+        let mut reused = NativeMachine::new(MachineConfig::with_nodes(nodes % 3 + 1));
+        let _ = reused.run(&np, entry, args);
+        reused.reset(cfg);
+        let c = reused.run(&np, entry, args);
+        for (name, native) in [("native", b), ("reused native", c)] {
+            match (&a, native) {
+                (Ok(x), Ok(y)) => {
+                    assert_eq!(x.ret, y.ret, "{name}");
+                    assert_eq!(x.time_ns, y.time_ns, "{name}: virtual completion time");
+                    assert_eq!(x.stats, y.stats, "{name}");
+                    assert_eq!(x.output, y.output, "{name}");
+                    assert_eq!(x.node_busy_ns, y.node_busy_ns, "{name}");
+                    assert_eq!(x.site_trace.per_site, y.site_trace.per_site, "{name}");
+                    assert_eq!(x.op_stats, y.op_stats, "{name}");
+                    assert_eq!(x.op_stats.total(), x.stats.ops, "{name}");
+                }
+                (Err(x), Err(y)) => assert_eq!(*x, y, "{name}"),
+                (a, b) => panic!("backends disagree: interp={a:?} {name}={b:?}"),
             }
-            (a, b) => panic!("backends disagree: interp={a:?} native={b:?}"),
         }
+        a
+    }
+
+    fn assert_identical(src: &str, nodes: u16, args: &[Value]) {
+        run_both(src, nodes, args).expect("run succeeds");
     }
 
     #[test]
@@ -266,6 +282,154 @@ mod tests {
         let b =
             run_compiled(ExecBackend::Native, cfg, &compiled, entry, &[Value::Int(0)]).unwrap_err();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn double_edge_cases_identical() {
+        // NaN, signed zero, infinities, `%` on negative doubles, and
+        // mixed Int/Double arithmetic, comparisons and branches (`k` is
+        // an Int flowing into double expressions).
+        let src = r#"
+            double main(int k) {
+                double z;
+                double n;
+                double inf;
+                double r;
+                int i;
+                z = 0.0;
+                n = z / z;
+                print_double(n);
+                inf = 1.0 / z;
+                print_double(inf);
+                print_double(-inf);
+                print_double(inf - inf);
+                print_double(-z);
+                if (-z == z) { print_int(1); }
+                if (n == n) { print_int(2); } else { print_int(3); }
+                if (n != n) { print_int(4); }
+                if (n < inf) { print_int(5); }
+                if (-inf < k) { print_int(6); }
+                print_int(n >= n);
+                r = -7.5 % 2.0;
+                print_double(r);
+                r = 7.5 % -2.0;
+                print_double(r);
+                print_double(inf % 2.0);
+                i = k;
+                r = i + 0.5;
+                print_double(r);
+                r = i * 2.5 - i / 2;
+                print_double(r);
+                print_double(1 / z);
+                print_double(i % 2.0);
+                if (i < 2.5) { print_int(7); }
+                if (2.5 >= i) { print_int(8); }
+                if (i == 3.0) { print_int(9); }
+                if (i - 3.0) { print_int(10); } else { print_int(11); }
+                return r;
+            }
+        "#;
+        for k in [-3, 0, 3] {
+            let r = run_both(src, 1, &[Value::Int(k)]).unwrap();
+            assert_eq!(r.output[0], "NaN");
+        }
+        // An Int argument where `double` parameters are declared.
+        let src = r#"
+            double main(double x, double y) {
+                if (x < y) { return x * y; }
+                return x - y;
+            }
+        "#;
+        for (x, y) in [
+            (Value::Int(2), Value::Double(2.5)),
+            (Value::Double(-0.0), Value::Int(0)),
+            (Value::Int(7), Value::Int(3)),
+        ] {
+            run_both(src, 1, &[x, y]).unwrap();
+        }
+    }
+
+    #[test]
+    fn pointer_comparisons_identical() {
+        let src = r#"
+            struct T { int v; };
+            int main(int k) {
+                T *p;
+                T *q;
+                T *r;
+                T *o;
+                int x;
+                p = malloc(sizeof(T));
+                q = malloc(sizeof(T));
+                o = malloc_on(1, sizeof(T));
+                r = NULL;
+                if (p == NULL) { print_int(1); }
+                if (r == NULL) { print_int(2); }
+                if (NULL != p) { print_int(3); }
+                if (p != q) { print_int(4); }
+                if (p == p) { print_int(5); }
+                if (o != p) { print_int(6); }
+                if (r == r) { print_int(7); }
+                x = (p == q) + (r != NULL) * 2 + (p != o) * 4 + (r == NULL) * 8;
+                print_int(x);
+                if (k > 0) {
+                    if (p < q) { print_int(7); }
+                }
+                return x;
+            }
+        "#;
+        let r = run_both(src, 2, &[Value::Int(0)]).unwrap();
+        assert_eq!(r.output, ["2", "3", "4", "5", "6", "7", "12"]);
+        let e = run_both(src, 2, &[Value::Int(1)]).unwrap_err();
+        assert_eq!(e.message, "ordered comparison of pointers");
+    }
+
+    #[test]
+    fn int_division_by_zero_identical() {
+        for (op, text) in [("/", "division"), ("%", "remainder")] {
+            let src = format!(
+                "int main(int d) {{ int x; x = 10 {op} d; if (x {op} d) {{ x = 1; }} return x; }}"
+            );
+            run_both(&src, 1, &[Value::Int(4)]).unwrap();
+            let e = run_both(&src, 1, &[Value::Int(0)]).unwrap_err();
+            assert_eq!(e.message, format!("integer {text} by zero"));
+        }
+    }
+
+    #[test]
+    fn recycled_thread_ids_identical() {
+        // Every fork arm and remote call runs in a thread whose record
+        // is recycled when it ends, and the next one on the same node
+        // reuses it: a remote call to `bump` from the same node finds
+        // the callee node's EU last used by that very id.
+        let src = r#"
+            int bump(int x) { return x + 1; }
+            int arm(int i) {
+                int a;
+                a = bump(i) @ (i % num_nodes());
+                return bump(a) @ ((i + 1) % num_nodes());
+            }
+            int main(int n) {
+                int i;
+                int a;
+                int b;
+                int s;
+                s = 0;
+                for (i = 0; i < n; i = i + 1) {
+                    {^
+                        a = arm(i);
+                        b = arm(i + 1);
+                    ^}
+                    s = s + a + b;
+                }
+                return s;
+            }
+        "#;
+        for nodes in [1, 2, 3] {
+            let r = run_both(src, nodes, &[Value::Int(20)]).unwrap();
+            // arm(i) = i + 2, summed over arms i and i + 1.
+            assert_eq!(r.ret, Value::Int((0..20).map(|i| 2 * i + 5).sum()));
+        }
     }
 
     #[test]

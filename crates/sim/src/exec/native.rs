@@ -21,8 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use super::account::{
-    eval_bin, eval_un, ActRec, Cell, FrameStack, NodeState, ParentLink, Thread, ThreadId,
-    ThreadState,
+    eval_bin, eval_un, ActRec, Cell, NodeState, ParentLink, Thread, ThreadId, ThreadState,
 };
 use super::predecode::{NativeFunc, NativeProgram, Step};
 
@@ -41,8 +40,10 @@ pub(crate) struct Ctx {
     pub base: usize,
 }
 
-/// What a step tells the dispatch loop to do next.
+/// What a step tells the dispatch loop to do next. Word-sized, like the
+/// boxed error, so [`StepResult`] is a (tag, word) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(usize)]
 pub(crate) enum Flow {
     /// Continue dispatching at `ctx.pc`.
     Next,
@@ -50,22 +51,31 @@ pub(crate) enum Flow {
     Release,
 }
 
-/// Per-dispatch result. The error is boxed so the whole value is 16
-/// bytes and returns in a register pair instead of through a hidden
-/// out-pointer on every step — errors are terminal, so the box cost is
-/// paid at most once per run.
+/// Per-dispatch result. Both payloads are one word at the same offset,
+/// so the value is a (tag, word) scalar pair returned in two registers
+/// rather than through a hidden out-pointer; that is also what lets a
+/// chained handler end in a tail jump. The error is boxed because errors
+/// are terminal: the box is paid for at most once per run.
 pub(crate) type StepResult = Result<Flow, Box<SimError>>;
+
+const _: () = assert!(std::mem::size_of::<StepResult>() == 2 * std::mem::size_of::<usize>());
 
 /// The native-tier machine: same global address space and per-node EU
 /// model as [`Machine`](crate::Machine), but executing pre-decoded
 /// [`NativeProgram`]s. Frames live in one contiguous cell arena instead
 /// of a frame table.
+///
+/// A machine can be [`reset`](Self::reset) and run again: every run
+/// starts from a clean state, but the cell arena, node heaps, thread
+/// table and event heap keep the capacity earlier runs grew them to.
 #[derive(Debug)]
 pub struct NativeMachine {
     cfg: MachineConfig,
     heaps: Vec<NodeHeap>,
     nodes: Vec<NodeState>,
     threads: Vec<Thread>,
+    /// Ids of finished threads whose records can be reused.
+    free_threads: Vec<ThreadId>,
     /// The frame arena; an [`ActRec::frame`] is a base offset in here.
     cells: Vec<Cell>,
     events: BinaryHeap<Reverse<(u64, u64, ThreadId)>>,
@@ -77,34 +87,61 @@ pub struct NativeMachine {
     result: Option<Value>,
     finished_at: u64,
     op_stats: OpStats,
-    /// Reusable buffer for block writes and call arguments.
+    /// Reusable buffer for block writes.
     scratch: Vec<Value>,
 }
 
 impl NativeMachine {
     /// Creates a machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.n_nodes >= 1, "need at least one node");
-        NativeMachine {
-            heaps: (0..cfg.n_nodes).map(|_| NodeHeap::default()).collect(),
-            nodes: vec![NodeState::default(); cfg.n_nodes as usize],
+        let mut m = NativeMachine {
+            cfg: cfg.clone(),
+            heaps: Vec::new(),
+            nodes: Vec::new(),
             threads: Vec::new(),
+            free_threads: Vec::new(),
             cells: Vec::new(),
             events: BinaryHeap::new(),
             event_seq: 0,
             stats: Stats::default(),
             site_trace: SiteTrace::default(),
-            rng: cfg
-                .seed
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493),
+            rng: 0,
             output: Vec::new(),
             result: None,
             finished_at: 0,
             op_stats: OpStats::default(),
             scratch: Vec::new(),
-            cfg,
-        }
+        };
+        m.reset(cfg);
+        m
+    }
+
+    /// Installs `cfg` and returns the machine to the state
+    /// [`new`](Self::new) gives, keeping the capacity of every arena.
+    pub fn reset(&mut self, cfg: MachineConfig) {
+        assert!(cfg.n_nodes >= 1, "need at least one node");
+        let n = cfg.n_nodes as usize;
+        self.heaps.truncate(n);
+        self.heaps.iter_mut().for_each(NodeHeap::clear);
+        self.heaps.resize_with(n, NodeHeap::default);
+        self.nodes.clear();
+        self.nodes.resize(n, NodeState::default());
+        self.threads.clear();
+        self.free_threads.clear();
+        self.cells.clear();
+        self.events.clear();
+        self.event_seq = 0;
+        self.stats = Stats::default();
+        self.site_trace = SiteTrace::default();
+        self.rng = cfg
+            .seed
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
+        self.output.clear();
+        self.result = None;
+        self.finished_at = 0;
+        self.op_stats = OpStats::default();
+        self.cfg = cfg;
     }
 
     /// Number of nodes.
@@ -115,7 +152,8 @@ impl NativeMachine {
     /// Runs `func` (by id) with `args` on node 0 and simulates to
     /// completion. The program must have been compiled against the same
     /// cost model as this machine's config (fixed costs are baked into
-    /// the step table at pre-decode time).
+    /// the step table at pre-decode time). A machine that has run before
+    /// must be [`reset`](Self::reset) first.
     ///
     /// # Errors
     ///
@@ -130,6 +168,10 @@ impl NativeMachine {
         assert_eq!(
             prog.cost, self.cfg.cost,
             "NativeProgram compiled against a different cost model"
+        );
+        assert!(
+            self.threads.is_empty(),
+            "reset the machine before running it again"
         );
         let cf = &prog.funcs[func.index()];
         if args.len() != cf.param_slots.len() {
@@ -200,18 +242,32 @@ impl NativeMachine {
         base
     }
 
+    /// A blocked thread on `node` running `root`, in a recycled record
+    /// when one is free.
     fn new_thread(&mut self, node: NodeId, root: ActRec, parent: ParentLink) -> ThreadId {
+        if let Some(tid) = self.free_threads.pop() {
+            self.threads[tid as usize].reuse(node, root, parent);
+            return tid;
+        }
         let tid = self.threads.len() as ThreadId;
-        self.threads.push(Thread {
-            node,
-            stack: FrameStack::new(root),
-            state: ThreadState::Blocked,
-            parent,
-            outstanding_children: 0,
-            waiting_join: false,
-            writes_done_at: 0,
-        });
+        self.threads.push(Thread::new(node, root, parent));
         tid
+    }
+
+    /// Marks the running thread `ctx.tid` done and frees its record for
+    /// reuse. The thread is running, so no event for it is queued (each
+    /// thread has at most one, popped when it runs), and a recycled id
+    /// can never be woken by a stale one. A thread with children still
+    /// to report keeps its record, which they update when they end.
+    /// Clearing the node's `last_thread` charges the id's next run the
+    /// `switch_ns` a fresh id would pay.
+    fn finish_thread(&mut self, ctx: &Ctx) {
+        let t = &mut self.threads[ctx.tid as usize];
+        t.state = ThreadState::Done;
+        if t.outstanding_children == 0 {
+            self.nodes[ctx.node].last_thread = None;
+            self.free_threads.push(ctx.tid);
+        }
     }
 
     fn schedule(&mut self, time: u64, tid: ThreadId) {
@@ -220,11 +276,10 @@ impl NativeMachine {
         self.events.push(Reverse((time, self.event_seq, tid)));
     }
 
+    #[cold]
+    #[inline(never)]
     fn err<T>(&self, time: u64, message: impl Into<String>) -> Result<T, Box<SimError>> {
-        Err(Box::new(SimError {
-            time_ns: time,
-            message: message.into(),
-        }))
+        Err(fail(time, message.into()))
     }
 
     #[inline]
@@ -269,6 +324,8 @@ impl NativeMachine {
     /// Interpreter-identical stall: charge the gap to the run and to the
     /// consuming op's site, release the EU, reschedule at the value's
     /// ready time with the pc parked on the consuming op.
+    #[cold]
+    #[inline(never)]
     fn stall(&mut self, ctx: &Ctx, site: u32, ready_at: u64) -> Flow {
         self.stats.stall_ns += ready_at - ctx.now;
         if let Some(sc) = self.site_mut(site, ctx.node) {
@@ -339,7 +396,7 @@ impl NativeMachine {
         loop {
             self.stats.ops += 1;
             if self.stats.ops > self.cfg.max_ops {
-                return self.err(ctx.now, "operation budget exceeded (infinite loop?)");
+                return Err(budget_exceeded(ctx.now));
             }
             let f = &prog.funcs[ctx.func as usize];
             let step = &f.steps[ctx.pc as usize];
@@ -354,24 +411,38 @@ impl NativeMachine {
     }
 }
 
+/// A run-ending error at virtual time `now`.
+#[cold]
+#[inline(never)]
+fn fail(now: u64, message: String) -> Box<SimError> {
+    Box::new(SimError {
+        time_ns: now,
+        message,
+    })
+}
+
+#[cold]
+#[inline(never)]
+fn budget_exceeded(now: u64) -> Box<SimError> {
+    fail(now, "operation budget exceeded (infinite loop?)".into())
+}
+
 #[inline]
 fn at(now: u64) -> impl Fn(String) -> Box<SimError> {
-    move |message| {
-        Box::new(SimError {
-            time_ns: now,
-            message,
-        })
-    }
+    move |message| fail(now, message)
 }
 
 /// The fused-pair tail: dispatches the step at `ctx.pc` with the full
 /// main-loop prologue (dispatch count, budget, histogram), so a fused
-/// pair is observationally identical to two loop iterations.
-#[inline]
+/// pair is observationally identical to two loop iterations. Inlined
+/// into every `*_chain` handler, whose last instruction is then this
+/// indirect call as a tail jump: each handler gets its own branch site,
+/// and a chained run of steps uses one host frame, not one per step.
+#[inline(always)]
 fn chain(m: &mut NativeMachine, p: &NativeProgram, f: &NativeFunc, ctx: &mut Ctx) -> StepResult {
     m.stats.ops += 1;
     if m.stats.ops > m.cfg.max_ops {
-        return m.err(ctx.now, "operation budget exceeded (infinite loop?)");
+        return Err(budget_exceeded(ctx.now));
     }
     let s2 = &f.steps[ctx.pc as usize];
     if m.cfg.record_op_stats {
@@ -385,7 +456,14 @@ fn chain(m: &mut NativeMachine, p: &NativeProgram, f: &NativeFunc, ctx: &mut Ctx
 // Each handler mirrors one interpreter arm: same order of counter bumps,
 // cost charges, heap touches, and error points. `CHECK` selects whether
 // the readiness test was proven elidable at pre-decode time.
+//
+// A handler that has a `*_chain` form is `#[inline(always)]` when its
+// inlined body keeps no stack slot whose address escapes (its errors are
+// built out of line), and `#[inline(never)]` otherwise: a chained form
+// whose inlined body let a stack address escape could not end in a tail
+// jump, so it calls such a body and then jumps.
 
+#[inline(always)]
 pub(crate) fn mov_slot(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -400,6 +478,7 @@ pub(crate) fn mov_slot(
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn mov_imm(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -431,15 +510,34 @@ pub(crate) const BOP_LE: u8 = 8;
 pub(crate) const BOP_GT: u8 = 9;
 pub(crate) const BOP_GE: u8 = 10;
 
-/// The Int×Int arithmetic fast path, constant-folded per `BOP`. `None`
-/// routes to [`eval_bin`] — non-int operands, pointer comparisons, and
-/// division/remainder by zero — which reproduces the interpreter's
-/// results and error strings exactly.
+/// The fast path of [`eval_bin`], constant-folded per `BOP`: Int×Int,
+/// Double×Double and mixed Int/Double arithmetic and comparisons, and
+/// pointer/NULL `==`/`!=`, each giving exactly `eval_bin`'s value.
+/// `None` routes to `eval_bin` for everything that errors (division or
+/// remainder of ints by zero, ordered pointer comparisons, `Uninit` or
+/// mixed pointer/number operands), which reproduces the interpreter's
+/// error strings.
 #[inline(always)]
 fn bin_fast<const BOP: u8>(av: Value, bv: Value) -> Option<Value> {
-    let (Value::Int(x), Value::Int(y)) = (av, bv) else {
-        return None;
-    };
+    // Int×Int first: the common case costs two tag tests.
+    if let (Value::Int(x), Value::Int(y)) = (av, bv) {
+        return int_bin::<BOP>(x, y);
+    }
+    match (av, bv) {
+        (Value::Double(x), Value::Double(y)) => Some(double_bin::<BOP>(x, y)),
+        (Value::Int(x), Value::Double(y)) => Some(double_bin::<BOP>(x as f64, y)),
+        (Value::Double(x), Value::Int(y)) => Some(double_bin::<BOP>(x, y as f64)),
+        (Value::Ptr(_) | Value::Null, Value::Ptr(_) | Value::Null)
+            if BOP == BOP_EQ || BOP == BOP_NE =>
+        {
+            Some(Value::Int(((av == bv) == (BOP == BOP_EQ)) as i64))
+        }
+        _ => None,
+    }
+}
+
+#[inline(always)]
+fn int_bin<const BOP: u8>(x: i64, y: i64) -> Option<Value> {
     Some(Value::Int(match BOP {
         BOP_ADD => x.wrapping_add(y),
         BOP_SUB => x.wrapping_sub(y),
@@ -466,10 +564,49 @@ fn bin_fast<const BOP: u8>(av: Value, bv: Value) -> Option<Value> {
     }))
 }
 
-/// `XS`/`YS` mark operands pre-decoded as slots: the slot index rides in
-/// a fixed `Step` field (`b`/`c` for `bin`, `a`/`d` for `br`) and the
-/// cell is read directly, skipping the `Opnd` match. `false` falls back
-/// to the generic operand path (immediates and mixed forms).
+#[inline(always)]
+fn double_bin<const BOP: u8>(x: f64, y: f64) -> Value {
+    match BOP {
+        BOP_ADD => Value::Double(x + y),
+        BOP_SUB => Value::Double(x - y),
+        BOP_MUL => Value::Double(x * y),
+        BOP_DIV => Value::Double(x / y),
+        BOP_REM => Value::Double(x % y),
+        BOP_EQ => Value::Int((x == y) as i64),
+        BOP_NE => Value::Int((x != y) as i64),
+        BOP_LT => Value::Int((x < y) as i64),
+        BOP_LE => Value::Int((x <= y) as i64),
+        BOP_GT => Value::Int((x > y) as i64),
+        BOP_GE => Value::Int((x >= y) as i64),
+        _ => unreachable!("bop code out of range"),
+    }
+}
+
+/// A `bin`/`br` operand. `SLOT` marks an operand pre-decoded as a slot:
+/// the slot index rides in a fixed `Step` field and the cell is read
+/// directly, skipping the `Opnd` match. `false` falls back to the
+/// generic operand path (immediates and mixed forms).
+#[inline(always)]
+fn operand<const SLOT: bool>(m: &NativeMachine, base: usize, slot: Slot, o: &Opnd) -> Value {
+    if SLOT {
+        m.cell(base, slot).val
+    } else {
+        m.opnd_val(base, o)
+    }
+}
+
+/// When a `bin`/`br` operand is ready; see [`operand`].
+#[inline(always)]
+fn operand_ready<const SLOT: bool>(m: &NativeMachine, base: usize, slot: Slot, o: &Opnd) -> u64 {
+    if SLOT {
+        m.slot_ready(base, slot)
+    } else {
+        m.opnd_ready(base, o)
+    }
+}
+
+/// `XS`/`YS` mark the operands pre-decoded as slots `b`/`c`.
+#[inline(always)]
 pub(crate) fn bin<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -478,42 +615,42 @@ pub(crate) fn bin<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bo
     ctx: &mut Ctx,
 ) -> StepResult {
     if CHECK {
-        let rx = if XS {
-            m.slot_ready(ctx.base, s.b)
-        } else {
-            m.opnd_ready(ctx.base, &s.x)
-        };
-        let ry = if YS {
-            m.slot_ready(ctx.base, s.c)
-        } else {
-            m.opnd_ready(ctx.base, &s.y)
-        };
-        let r = rx.max(ry);
+        let r = operand_ready::<XS>(m, ctx.base, s.b, &s.x)
+            .max(operand_ready::<YS>(m, ctx.base, s.c, &s.y));
         if r > ctx.now {
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let av = if XS {
-        m.cell(ctx.base, s.b).val
-    } else {
-        m.opnd_val(ctx.base, &s.x)
-    };
-    let bv = if YS {
-        m.cell(ctx.base, s.c).val
-    } else {
-        m.opnd_val(ctx.base, &s.y)
-    };
-    let v = match bin_fast::<BOP>(av, bv) {
-        Some(v) => v,
-        None => eval_bin(s.bop, av, bv).map_err(at(ctx.now))?,
-    };
-    m.set_cell(ctx.base, s.a, v, 0);
+    let av = operand::<XS>(m, ctx.base, s.b, &s.x);
+    let bv = operand::<YS>(m, ctx.base, s.c, &s.y);
+    match bin_fast::<BOP>(av, bv) {
+        Some(v) => m.set_cell(ctx.base, s.a, v, 0),
+        None => bin_slow::<XS, YS>(m, s, ctx)?,
+    }
     ctx.now += s.cost;
     ctx.pc += 1;
     Ok(Flow::Next)
 }
 
-#[inline]
+/// `bin` through [`eval_bin`], for the operands `bin_fast` leaves out.
+/// Out of line, and re-reading its operands, so `bin` keeps no stack
+/// slot whose address escapes: that would rule out the tail dispatch
+/// in `bin_chain`.
+#[cold]
+#[inline(never)]
+fn bin_slow<const XS: bool, const YS: bool>(
+    m: &mut NativeMachine,
+    s: &Step,
+    ctx: &Ctx,
+) -> Result<(), Box<SimError>> {
+    let av = operand::<XS>(m, ctx.base, s.b, &s.x);
+    let bv = operand::<YS>(m, ctx.base, s.c, &s.y);
+    let v = eval_bin(s.bop, av, bv).map_err(at(ctx.now))?;
+    m.set_cell(ctx.base, s.a, v, 0);
+    Ok(())
+}
+
+#[inline(always)]
 fn un_impl<const CHECK: bool>(
     m: &mut NativeMachine,
     s: &Step,
@@ -534,6 +671,7 @@ fn un_impl<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn un_neg<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -544,6 +682,7 @@ pub(crate) fn un_neg<const CHECK: bool>(
     un_impl::<CHECK>(m, s, ctx, UnOp::Neg)
 }
 
+#[inline(never)]
 pub(crate) fn un_not<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -554,6 +693,7 @@ pub(crate) fn un_not<const CHECK: bool>(
     un_impl::<CHECK>(m, s, ctx, UnOp::Not)
 }
 
+#[inline(always)]
 pub(crate) fn load_local<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -567,10 +707,15 @@ pub(crate) fn load_local<const CHECK: bool>(
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let addr = m.expect_local_addr(ctx, s.b)?;
-    let v = m.heaps[addr.node as usize]
-        .load(addr.index, s.c as usize)
-        .map_err(at(ctx.now))?;
+    let v = match m.cell(ctx.base, s.b).val {
+        Value::Ptr(a) if a.node as usize == ctx.node => {
+            m.heaps[ctx.node].get(a.index, s.c as usize)
+        }
+        _ => None,
+    };
+    let Some(v) = v else {
+        return Err(local_access_error(m, s, ctx));
+    };
     m.set_cell(ctx.base, s.a, v, 0);
     m.stats.local_mem += 1;
     ctx.now += s.cost;
@@ -578,6 +723,38 @@ pub(crate) fn load_local<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+/// The error of a `load_local`/`store_local` whose pointer (slot `b`)
+/// or field (`c`) failed the fast path's checks, as the interpreter
+/// words it. Out of line, like every error the load and store handlers
+/// build, so that they keep no stack slot whose address escapes: that
+/// would rule out the tail dispatch in their chained forms.
+#[cold]
+#[inline(never)]
+fn local_access_error(m: &NativeMachine, s: &Step, ctx: &Ctx) -> Box<SimError> {
+    match m.expect_local_addr(ctx, s.b) {
+        Ok(a) => heap_access_error(m, a, s, ctx),
+        Err(e) => e,
+    }
+}
+
+/// The out-of-range error of field `c` of the object at `a`.
+#[cold]
+#[inline(never)]
+fn heap_access_error(m: &NativeMachine, a: Addr, s: &Step, ctx: &Ctx) -> Box<SimError> {
+    match m.heaps[a.node as usize].load(a.index, s.c as usize) {
+        Err(e) => fail(ctx.now, e),
+        Ok(_) => unreachable!("field {} of {a} is in range", s.c),
+    }
+}
+
+/// [`Value::as_ptr`]'s error for the non-pointer `v`.
+#[cold]
+#[inline(never)]
+fn as_ptr_error(v: &Value, ctx: &Ctx) -> Box<SimError> {
+    fail(ctx.now, v.as_ptr().expect_err("not a pointer"))
+}
+
+#[inline(always)]
 pub(crate) fn load_remote<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -598,9 +775,9 @@ pub(crate) fn load_remote<const CHECK: bool>(
     }
     match m.cell(ctx.base, s.b).val {
         Value::Ptr(addr) => {
-            let v = m.heaps[addr.node as usize]
-                .load(addr.index, s.c as usize)
-                .map_err(at(ctx.now))?;
+            let Some(v) = m.heaps[addr.node as usize].get(addr.index, s.c as usize) else {
+                return Err(heap_access_error(m, addr, s, ctx));
+            };
             if addr.node as usize == ctx.node {
                 ctx.now += p.cost.pseudo_remote_ns;
                 m.set_cell(ctx.base, s.a, v, 0);
@@ -628,6 +805,7 @@ pub(crate) fn load_remote<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn store_local<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -643,17 +821,24 @@ pub(crate) fn store_local<const CHECK: bool>(
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let addr = m.expect_local_addr(ctx, s.b)?;
     let v = m.opnd_val(ctx.base, &s.x);
-    m.heaps[addr.node as usize]
-        .store(addr.index, s.c as usize, v)
-        .map_err(at(ctx.now))?;
+    let field = match m.cells[ctx.base + s.b as usize].val {
+        Value::Ptr(a) if a.node as usize == ctx.node => {
+            m.heaps[ctx.node].get_mut(a.index, s.c as usize)
+        }
+        _ => None,
+    };
+    let Some(field) = field else {
+        return Err(local_access_error(m, s, ctx));
+    };
+    *field = v;
     m.stats.local_mem += 1;
     ctx.now += s.cost;
     ctx.pc += 1;
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn store_remote<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -674,13 +859,16 @@ pub(crate) fn store_remote<const CHECK: bool>(
         sc.execs += 1;
         sc.bytes += 8;
     }
-    let Some(addr) = m.cell(ctx.base, s.b).val.as_ptr().map_err(at(ctx.now))? else {
-        return m.err(ctx.now, "remote write through NULL pointer");
+    let addr = match m.cell(ctx.base, s.b).val {
+        Value::Ptr(addr) => addr,
+        Value::Null => return m.err(ctx.now, "remote write through NULL pointer"),
+        _ => return Err(as_ptr_error(&m.cells[ctx.base + s.b as usize].val, ctx)),
     };
     let v = m.opnd_val(ctx.base, &s.x);
-    m.heaps[addr.node as usize]
-        .store(addr.index, s.c as usize, v)
-        .map_err(at(ctx.now))?;
+    let Some(field) = m.heaps[addr.node as usize].get_mut(addr.index, s.c as usize) else {
+        return Err(heap_access_error(m, addr, s, ctx));
+    };
+    *field = v;
     if addr.node as usize == ctx.node {
         ctx.now += p.cost.pseudo_remote_ns;
     } else {
@@ -693,6 +881,7 @@ pub(crate) fn store_remote<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn blk_read<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -745,6 +934,7 @@ pub(crate) fn blk_read<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn blk_write<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -791,6 +981,7 @@ pub(crate) fn blk_write<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn copy_slots<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -818,6 +1009,7 @@ pub(crate) fn copy_slots<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(always)]
 pub(crate) fn malloc_here(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -840,6 +1032,7 @@ pub(crate) fn malloc_here(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn malloc_on<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -873,6 +1066,7 @@ pub(crate) fn malloc_on<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn alloc_shared(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -898,6 +1092,7 @@ pub(crate) fn alloc_shared(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn atomic<const CHECK: bool, const ADD: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -939,6 +1134,7 @@ pub(crate) fn atomic<const CHECK: bool, const ADD: bool>(
     Ok(Flow::Next)
 }
 
+#[inline(never)]
 pub(crate) fn value_of<const CHECK: bool>(
     m: &mut NativeMachine,
     p: &NativeProgram,
@@ -1010,17 +1206,12 @@ pub(crate) fn call<const CHECK: bool>(
             n.rem_euclid(m.cfg.n_nodes as i64) as usize
         }
     };
-    m.scratch.clear();
-    for a in nc.args.iter() {
-        let v = m.opnd_val(ctx.base, a);
-        m.scratch.push(v);
-    }
+    // The callee frame goes above the caller's, so each argument is
+    // read from the caller's cells and written straight into its slot.
     let new_base = m.new_frame(callee.n_slots);
-    for (i, &slot) in callee.param_slots.iter().enumerate() {
-        m.cells[new_base + slot as usize] = Cell {
-            val: m.scratch[i],
-            ready: 0,
-        };
+    for (a, &slot) in nc.args.iter().zip(callee.param_slots.iter()) {
+        let val = m.opnd_val(ctx.base, a);
+        m.cells[new_base + slot as usize] = Cell { val, ready: 0 };
     }
     ctx.now += s.cost;
     if target == ctx.node {
@@ -1060,6 +1251,7 @@ pub(crate) fn call<const CHECK: bool>(
     }
 }
 
+#[inline(always)]
 pub(crate) fn builtin<const CHECK: bool>(
     m: &mut NativeMachine,
     _p: &NativeProgram,
@@ -1158,7 +1350,6 @@ fn ret_common(
             Ok(Flow::Release)
         }
         ParentLink::Reply(caller, dst) => {
-            m.threads[ctx.tid as usize].state = ThreadState::Done;
             let arrive = ctx.now + p.cost.remote_call_ns;
             let caller_frame = m.threads[caller as usize]
                 .stack
@@ -1174,6 +1365,7 @@ fn ret_common(
             let ct = &mut m.threads[caller as usize];
             ct.writes_done_at = ct.writes_done_at.max(wd);
             m.schedule(arrive, caller);
+            m.finish_thread(ctx);
             m.release(ctx);
             Ok(Flow::Release)
         }
@@ -1228,38 +1420,20 @@ pub(crate) fn br<const CHECK: bool, const BOP: u8, const XS: bool, const YS: boo
     ctx: &mut Ctx,
 ) -> StepResult {
     if CHECK {
-        let rx = if XS {
-            m.slot_ready(ctx.base, s.a)
-        } else {
-            m.opnd_ready(ctx.base, &s.x)
-        };
-        let ry = if YS {
-            m.slot_ready(ctx.base, s.d)
-        } else {
-            m.opnd_ready(ctx.base, &s.y)
-        };
-        let r = rx.max(ry);
+        let r = operand_ready::<XS>(m, ctx.base, s.a, &s.x)
+            .max(operand_ready::<YS>(m, ctx.base, s.d, &s.y));
         if r > ctx.now {
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let av = if XS {
-        m.cell(ctx.base, s.a).val
-    } else {
-        m.opnd_val(ctx.base, &s.x)
-    };
-    let bv = if YS {
-        m.cell(ctx.base, s.d).val
-    } else {
-        m.opnd_val(ctx.base, &s.y)
-    };
-    // The fast path always yields an Int, whose truthiness cannot fail.
+    let av = operand::<XS>(m, ctx.base, s.a, &s.x);
+    let bv = operand::<YS>(m, ctx.base, s.d, &s.y);
+    // The fast path yields an Int or a Double, whose truthiness cannot
+    // fail.
     let taken = match bin_fast::<BOP>(av, bv) {
         Some(Value::Int(i)) => i != 0,
-        _ => {
-            let v = eval_bin(s.bop, av, bv).map_err(at(ctx.now))?;
-            v.truthy().map_err(at(ctx.now))?
-        }
+        Some(Value::Double(d)) => d != 0.0,
+        _ => br_slow::<XS, YS>(m, s, ctx)?,
     };
     if let Some(sc) = m.site_mut(s.site, ctx.node) {
         sc.execs += 1;
@@ -1272,6 +1446,21 @@ pub(crate) fn br<const CHECK: bool, const BOP: u8, const XS: bool, const YS: boo
     ctx.pc = if taken { s.b } else { s.c };
     ctx.now += s.cost;
     Ok(Flow::Next)
+}
+
+/// `br`'s condition through [`eval_bin`], for the operands `bin_fast`
+/// leaves out.
+#[cold]
+#[inline(never)]
+fn br_slow<const XS: bool, const YS: bool>(
+    m: &NativeMachine,
+    s: &Step,
+    ctx: &Ctx,
+) -> Result<bool, Box<SimError>> {
+    let av = operand::<XS>(m, ctx.base, s.a, &s.x);
+    let bv = operand::<YS>(m, ctx.base, s.d, &s.y);
+    let v = eval_bin(s.bop, av, bv).map_err(at(ctx.now))?;
+    v.truthy().map_err(at(ctx.now))
 }
 
 pub(crate) fn switch_step<const CHECK: bool>(
@@ -1390,7 +1579,6 @@ pub(crate) fn end_arm(
     _s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    m.threads[ctx.tid as usize].state = ThreadState::Done;
     let wd = m.threads[ctx.tid as usize].writes_done_at;
     if let ParentLink::Arm(parent) = m.threads[ctx.tid as usize].parent {
         let pt = &mut m.threads[parent as usize];
@@ -1401,6 +1589,7 @@ pub(crate) fn end_arm(
             m.schedule(ctx.now, parent);
         }
     }
+    m.finish_thread(ctx);
     m.release(ctx);
     Ok(Flow::Release)
 }
@@ -1413,75 +1602,37 @@ pub(crate) fn end_arm(
 // step stays valid as a jump target and stall-resume point.
 
 macro_rules! chained {
-    ($name:ident, $inner:ident) => {
-        pub(crate) fn $name(
+    ($name:ident, $inner:ident $(, const $g:ident: $t:ty)*) => {
+        pub(crate) fn $name<$(const $g: $t),*>(
             m: &mut NativeMachine,
             p: &NativeProgram,
             f: &NativeFunc,
             s: &Step,
             ctx: &mut Ctx,
         ) -> StepResult {
-            match $inner(m, p, f, s, ctx)? {
-                Flow::Next => chain(m, p, f, ctx),
-                Flow::Release => Ok(Flow::Release),
-            }
-        }
-    };
-    ($name:ident, $inner:ident, const $g:ident) => {
-        pub(crate) fn $name<const $g: bool>(
-            m: &mut NativeMachine,
-            p: &NativeProgram,
-            f: &NativeFunc,
-            s: &Step,
-            ctx: &mut Ctx,
-        ) -> StepResult {
-            match $inner::<$g>(m, p, f, s, ctx)? {
-                Flow::Next => chain(m, p, f, ctx),
-                Flow::Release => Ok(Flow::Release),
+            match $inner::<$($g),*>(m, p, f, s, ctx) {
+                Ok(Flow::Next) => chain(m, p, f, ctx),
+                done => done,
             }
         }
     };
 }
 
-pub(crate) fn bin_chain<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool>(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    f: &NativeFunc,
-    s: &Step,
-    ctx: &mut Ctx,
-) -> StepResult {
-    match bin::<CHECK, BOP, XS, YS>(m, p, f, s, ctx)? {
-        Flow::Next => chain(m, p, f, ctx),
-        Flow::Release => Ok(Flow::Release),
-    }
-}
-
-pub(crate) fn atomic_chain<const CHECK: bool, const ADD: bool>(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    f: &NativeFunc,
-    s: &Step,
-    ctx: &mut Ctx,
-) -> StepResult {
-    match atomic::<CHECK, ADD>(m, p, f, s, ctx)? {
-        Flow::Next => chain(m, p, f, ctx),
-        Flow::Release => Ok(Flow::Release),
-    }
-}
-
+chained!(bin_chain, bin, const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool);
+chained!(atomic_chain, atomic, const CHECK: bool, const ADD: bool);
 chained!(mov_slot_chain, mov_slot);
 chained!(mov_imm_chain, mov_imm);
 chained!(malloc_here_chain, malloc_here);
 chained!(alloc_shared_chain, alloc_shared);
-chained!(un_neg_chain, un_neg, const CHECK);
-chained!(un_not_chain, un_not, const CHECK);
-chained!(load_local_chain, load_local, const CHECK);
-chained!(load_remote_chain, load_remote, const CHECK);
-chained!(store_local_chain, store_local, const CHECK);
-chained!(store_remote_chain, store_remote, const CHECK);
-chained!(blk_read_chain, blk_read, const CHECK);
-chained!(blk_write_chain, blk_write, const CHECK);
-chained!(copy_slots_chain, copy_slots, const CHECK);
-chained!(malloc_on_chain, malloc_on, const CHECK);
-chained!(value_of_chain, value_of, const CHECK);
-chained!(builtin_chain, builtin, const CHECK);
+chained!(un_neg_chain, un_neg, const CHECK: bool);
+chained!(un_not_chain, un_not, const CHECK: bool);
+chained!(load_local_chain, load_local, const CHECK: bool);
+chained!(load_remote_chain, load_remote, const CHECK: bool);
+chained!(store_local_chain, store_local, const CHECK: bool);
+chained!(store_remote_chain, store_remote, const CHECK: bool);
+chained!(blk_read_chain, blk_read, const CHECK: bool);
+chained!(blk_write_chain, blk_write, const CHECK: bool);
+chained!(copy_slots_chain, copy_slots, const CHECK: bool);
+chained!(malloc_on_chain, malloc_on, const CHECK: bool);
+chained!(value_of_chain, value_of, const CHECK: bool);
+chained!(builtin_chain, builtin, const CHECK: bool);

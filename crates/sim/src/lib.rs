@@ -65,6 +65,25 @@ pub use value::{Addr, NodeId, Value};
 
 use earth_ir::Program;
 
+/// The most EARTH nodes a simulation may have. Per-node state (heaps, EU
+/// accounting, and the site trace's sites × nodes counters) is sized by
+/// the count, so a request must not choose it freely. Every count the
+/// repository's programs, benchmarks and tests use is at most 16.
+pub const MAX_NODES: u16 = 64;
+
+/// Checks a node count against `1..=`[`MAX_NODES`].
+///
+/// # Errors
+///
+/// A one-line message naming the bound.
+pub fn check_nodes(n: u16) -> Result<(), String> {
+    if (1..=MAX_NODES).contains(&n) {
+        Ok(())
+    } else {
+        Err(format!("nodes must be between 1 and {MAX_NODES}, got {n}"))
+    }
+}
+
 /// Convenience: compile `prog` and run `entry` with `args` on a machine
 /// with `n_nodes` nodes and default costs.
 ///

@@ -90,6 +90,10 @@ impl fmt::Display for Value {
     }
 }
 
+fn out_of_range(index: u32, field: usize) -> String {
+    format!("heap access out of range: obj {index} field {field}")
+}
+
 /// One object's extent in the node's word arena.
 #[derive(Debug, Clone, Copy)]
 struct Span {
@@ -126,6 +130,25 @@ impl NodeHeap {
         self.spans.get(index as usize).copied()
     }
 
+    /// Field `field` of object `index`, or `None` when either is out of
+    /// range.
+    #[inline]
+    pub fn get(&self, index: u32, field: usize) -> Option<Value> {
+        match self.span(index) {
+            Some(s) if field < s.len as usize => Some(self.words[s.start as usize + field]),
+            _ => None,
+        }
+    }
+
+    /// Mutable [`get`](Self::get).
+    #[inline]
+    pub fn get_mut(&mut self, index: u32, field: usize) -> Option<&mut Value> {
+        match self.span(index) {
+            Some(s) if field < s.len as usize => Some(&mut self.words[s.start as usize + field]),
+            _ => None,
+        }
+    }
+
     /// Reads field `field` of object `index`.
     ///
     /// # Errors
@@ -133,12 +156,8 @@ impl NodeHeap {
     /// Returns an error for out-of-range object or field indices.
     #[inline]
     pub fn load(&self, index: u32, field: usize) -> Result<Value, String> {
-        match self.span(index) {
-            Some(s) if field < s.len as usize => Ok(self.words[s.start as usize + field]),
-            _ => Err(format!(
-                "heap access out of range: obj {index} field {field}"
-            )),
-        }
+        self.get(index, field)
+            .ok_or_else(|| out_of_range(index, field))
     }
 
     /// Writes field `field` of object `index`.
@@ -148,15 +167,11 @@ impl NodeHeap {
     /// Returns an error for out-of-range object or field indices.
     #[inline]
     pub fn store(&mut self, index: u32, field: usize, v: Value) -> Result<(), String> {
-        match self.span(index) {
-            Some(s) if field < s.len as usize => {
-                self.words[s.start as usize + field] = v;
-                Ok(())
-            }
-            _ => Err(format!(
-                "heap access out of range: obj {index} field {field}"
-            )),
-        }
+        let slot = self
+            .get_mut(index, field)
+            .ok_or_else(|| out_of_range(index, field))?;
+        *slot = v;
+        Ok(())
     }
 
     /// Snapshot of all fields of an object (for block moves).
@@ -221,6 +236,12 @@ impl NodeHeap {
         let start = s.start as usize;
         self.words[start..start + values.len()].copy_from_slice(values);
         Ok(())
+    }
+
+    /// Frees every object, keeping the arena's capacity.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.spans.clear();
     }
 
     /// Number of objects allocated on this node.

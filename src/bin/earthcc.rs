@@ -49,6 +49,7 @@ use earthc::earth_ir::{diag, pretty, Severity};
 use earthc::earth_serve::client::{Client, ClientError};
 use earthc::earth_serve::cluster::ClusterClient;
 use earthc::earth_serve::proto::{Arg, CompileOptions, RequestKind, Response};
+use earthc::earth_sim::check_nodes;
 use earthc::{earth_lint, ExecBackend, Pipeline, PipelineReport, Profile, ProfileDb, Value};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -372,6 +373,10 @@ fn client_cmd(rest: &[String]) -> ExitCode {
             return usage();
         }
     };
+    if let Err(e) = check_nodes(opts.nodes) {
+        eprintln!("error: --nodes: {e}");
+        return ExitCode::FAILURE;
+    }
     let source = if needs_file {
         match read_source(&opts.file) {
             Ok(s) => s,
@@ -484,6 +489,10 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    if let Err(e) = check_nodes(opts.nodes) {
+        eprintln!("error: --nodes: {e}");
+        return ExitCode::FAILURE;
+    }
     let src = match read_source(&opts.file) {
         Ok(s) => s,
         Err(code) => return code,

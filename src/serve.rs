@@ -38,6 +38,7 @@ use earth_serve::proto::{Arg, CompileOptions, PROTOCOL_VERSION};
 use earth_serve::ring::DEFAULT_VNODES;
 use earth_serve::server::{Server, ServerConfig};
 use earth_serve::{Artifact, Backend, CompileOutput, LintOutput, PgoOutput, RunOutput};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -293,6 +294,13 @@ impl PipelineBackend {
     }
 }
 
+thread_local! {
+    /// The native-tier machine of this pool worker, reset for each `run`
+    /// so its arenas keep the capacity earlier runs grew them to.
+    static WORKER_MACHINE: RefCell<Option<earth_sim::NativeMachine>> =
+        const { RefCell::new(None) };
+}
+
 fn to_values(args: &[Arg]) -> Vec<Value> {
     args.iter()
         .map(|a| match a {
@@ -402,6 +410,7 @@ impl Backend for PipelineBackend {
         nodes: u16,
         args: &[Arg],
     ) -> Result<RunOutput, String> {
+        earth_sim::check_nodes(nodes)?;
         // A spill-restored artifact lost its bytecode; rebuild it from
         // the stored source (same key inputs, so same result).
         let rebuilt;
@@ -424,9 +433,16 @@ impl Backend for PipelineBackend {
             ExecBackend::Interp => {
                 earth_sim::Machine::new(mc).run(&exec.bytecode, entry_fn, &to_values(args))
             }
-            ExecBackend::Native => {
-                earth_sim::NativeMachine::new(mc).run(exec.native(), entry_fn, &to_values(args))
-            }
+            ExecBackend::Native => WORKER_MACHINE.with_borrow_mut(|slot| {
+                let m = match slot {
+                    Some(m) => {
+                        m.reset(mc);
+                        m
+                    }
+                    None => slot.insert(earth_sim::NativeMachine::new(mc)),
+                };
+                m.run(exec.native(), entry_fn, &to_values(args))
+            }),
         }
         .map_err(|e| format!("simulation: {e}"))?;
         Ok(RunOutput {
@@ -444,6 +460,7 @@ impl Backend for PipelineBackend {
         nodes: u16,
         args: &[Arg],
     ) -> Result<PgoOutput, String> {
+        earth_sim::check_nodes(nodes)?;
         let pipeline = Pipeline::new().nodes(nodes).entry(entry);
         let (result, measured) = pipeline
             .instrument_source(source, &to_values(args))

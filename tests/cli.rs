@@ -107,6 +107,19 @@ fn explain_unknown_code_is_a_single_line_error() {
 }
 
 #[test]
+fn out_of_range_node_count_is_a_single_line_error() {
+    for nodes in ["0", "65", "65535"] {
+        let out = earthcc(&["run", "programs/count.ec", "--nodes", nodes, "--arg", "3"]);
+        assert_single_error_line(
+            &out,
+            &format!("nodes must be between 1 and 64, got {nodes}"),
+        );
+    }
+    let out = earthcc(&["pgo", "programs/count.ec", "--nodes", "0", "--arg", "3"]);
+    assert_single_error_line(&out, "nodes must be between 1 and 64, got 0");
+}
+
+#[test]
 fn bad_escape_mode_is_a_usage_error() {
     let out = earthcc(&["stats", "programs/orbit.ec", "--escape", "bogus"]);
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");

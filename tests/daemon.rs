@@ -383,6 +383,48 @@ fn daemon_survives_hostile_nesting() {
     join.join().unwrap();
 }
 
+/// A node count outside `1..=MAX_NODES` is a clean error. More bad
+/// requests than pool workers, `run` and `pgo` both: a worker that
+/// panicked on one would never answer again, and the valid `run` after
+/// them would hang.
+#[test]
+fn out_of_range_node_counts_are_errors() {
+    let workers = 2;
+    let (addr, _handle, join) = start(ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let (_, source) = sources().remove(0);
+    let max = earthc::earth_sim::MAX_NODES;
+    for nodes in [0, max + 1, 0] {
+        let err = client
+            .run(&source, CompileOptions::default(), "main", nodes, vec![])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("server error: nodes must be between 1 and {max}, got {nodes}")
+        );
+    }
+    let err = client.pgo(&source, "main", 0, vec![]).unwrap_err();
+    assert!(err.to_string().contains("nodes must be between"), "{err}");
+    match client
+        .run(
+            &source,
+            CompileOptions::default(),
+            "main",
+            max,
+            vec![Arg::Int(5)],
+        )
+        .unwrap()
+    {
+        Response::Run { ret, .. } => assert_eq!(ret, "1"),
+        other => panic!("{other:?}"),
+    }
+    client.shutdown().unwrap();
+    join.join().unwrap();
+}
+
 /// The snapshot store is bounded: once `SNAPSHOT_CAPACITY` newer
 /// function lists have been compiled, the oldest snapshot is gone and
 /// an edit of that program recompiles cold.
