@@ -3,7 +3,7 @@
 //! sources. Plain timing harness (no external bench framework; the
 //! workspace builds offline).
 
-use earth_commopt::{default_workers, optimize_program, optimize_program_with, CommOptConfig};
+use earth_commopt::{optimize_program, optimize_program_with, CommOptConfig};
 use earth_olden::suite;
 use earth_pass::passes::{LocalityPass, OptimizePass, RaceLintPass, VerifyPlacementPass};
 use earth_pass::PassManager;
@@ -33,20 +33,14 @@ fn main() {
             std::hint::black_box(optimize_program(&mut p, &CommOptConfig::default()));
         });
         let analysis = earth_analysis::analyze(&prog);
-        for workers in [1, default_workers().max(2)] {
-            time(
-                &format!("pipeline/optimize-workers{workers}/{}", bench.name),
-                || {
-                    let mut p = prog.clone();
-                    std::hint::black_box(optimize_program_with(
-                        &mut p,
-                        &CommOptConfig::default(),
-                        &analysis,
-                        workers,
-                    ));
-                },
-            );
-        }
+        time(&format!("pipeline/optimize-cached/{}", bench.name), || {
+            let mut p = prog.clone();
+            std::hint::black_box(optimize_program_with(
+                &mut p,
+                &CommOptConfig::default(),
+                &analysis,
+            ));
+        });
     }
 
     // Per-pass wall times and cache counters through the pass manager,
@@ -57,10 +51,7 @@ fn main() {
         pm.register(LocalityPass)
             .register(VerifyPlacementPass::new(CommOptConfig::default()))
             .register(RaceLintPass::new())
-            .register(OptimizePass::new(
-                CommOptConfig::default(),
-                default_workers(),
-            ));
+            .register(OptimizePass::new(CommOptConfig::default()));
         let mut p = prog.clone();
         let mut cache = earth_analysis::AnalysisCache::new();
         let report = pm.run(&mut p, &mut cache).expect("pipeline succeeds");

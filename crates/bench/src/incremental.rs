@@ -97,13 +97,13 @@ fn fingerprint_output(prog: &Program, report: &earth_commopt::OptReport) -> (Str
 /// Measures one kernel: snapshot the pristine build, apply the
 /// one-function edit, then time from-scratch vs incremental recompiles
 /// of the edited source.
-pub fn run_incremental(bench: &Benchmark, iters: u32, workers: usize) -> IncrementalResult {
+pub fn run_incremental(bench: &Benchmark, iters: u32) -> IncrementalResult {
     let cfg = CommOptConfig::default();
     // The pre-edit compile whose snapshot the incremental path reuses.
     let mut base = prepare(bench.source);
     let base_analysis = earth_analysis::analyze(&base);
     let (_, snapshot): (_, PipelineSnapshot) =
-        optimize_program_snapshot(&mut base, &cfg, workers, &base_analysis);
+        optimize_program_snapshot(&mut base, &cfg, &base_analysis);
 
     let edited_src = edit_one_function(bench.source);
     let edited = prepare(&edited_src);
@@ -112,7 +112,7 @@ pub fn run_incremental(bench: &Benchmark, iters: u32, workers: usize) -> Increme
     // Reference from-scratch build of the edit, for the identity fence.
     let mut ref_prog = edited.clone();
     let ref_analysis = earth_analysis::analyze(&ref_prog);
-    let (ref_report, _) = optimize_program_snapshot(&mut ref_prog, &cfg, workers, &ref_analysis);
+    let (ref_report, _) = optimize_program_snapshot(&mut ref_prog, &cfg, &ref_analysis);
     let reference = fingerprint_output(&ref_prog, &ref_report);
 
     // Timed from-scratch recompiles: analysis + optimization, the work a
@@ -121,7 +121,7 @@ pub fn run_incremental(bench: &Benchmark, iters: u32, workers: usize) -> Increme
     for _ in 0..iters {
         let mut p = edited.clone();
         let analysis = earth_analysis::analyze(&p);
-        std::hint::black_box(optimize_program_snapshot(&mut p, &cfg, workers, &analysis));
+        std::hint::black_box(optimize_program_snapshot(&mut p, &cfg, &analysis));
     }
     let full_ns = (start.elapsed().as_nanos() / iters as u128) as u64;
 
@@ -130,7 +130,7 @@ pub fn run_incremental(bench: &Benchmark, iters: u32, workers: usize) -> Increme
     let mut stats = None;
     for _ in 0..iters {
         let mut p = edited.clone();
-        let (report, _, st) = optimize_program_incremental(&mut p, &cfg, workers, &snapshot)
+        let (report, _, st) = optimize_program_incremental(&mut p, &cfg, &snapshot)
             .expect("one-function edit keeps the snapshot applicable");
         if stats.is_none() {
             let got = fingerprint_output(&p, &report);
@@ -169,11 +169,13 @@ pub fn render_incremental(r: &IncrementalResult) -> String {
     )
 }
 
-/// The `BENCH_incremental.json` document.
-pub fn to_json(results: &[IncrementalResult], workers: usize) -> String {
+/// The `BENCH_incremental.json` document. `host` is the already-encoded
+/// host object (see [`host_json`](crate::exec::host_json)).
+pub fn to_json(results: &[IncrementalResult], iters: u32, host: &str) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"artifact\": \"BENCH_incremental\",\n");
-    out.push_str(&format!("  \"workers\": {workers},\n"));
+    out.push_str(&format!("  \"host\": {host},\n"));
+    out.push_str(&format!("  \"iters\": {iters},\n"));
     out.push_str("  \"kernels\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(

@@ -89,7 +89,7 @@ pub fn verify_incremental(
     }
     // INC002: from-scratch re-optimization against every reused splice.
     let mut fresh_prog = prog.clone();
-    let (_, fresh_snap) = optimize_program_snapshot(&mut fresh_prog, cfg, 1, &analysis);
+    let (_, fresh_snap) = optimize_program_snapshot(&mut fresh_prog, cfg, &analysis);
     for (stored, fresh) in snapshot.functions.iter().zip(&fresh_snap.functions) {
         if !stored.reused {
             continue; // re-optimized this compile: trivially fresh
@@ -149,7 +149,7 @@ mod tests {
         let mut prog = earth_frontend::compile(src).unwrap();
         let analysis = earth_analysis::analyze(&prog);
         let pristine = prog.clone();
-        let (_, snap) = optimize_program_snapshot(&mut prog, cfg, 1, &analysis);
+        let (_, snap) = optimize_program_snapshot(&mut prog, cfg, &analysis);
         (pristine, snap)
     }
 
@@ -164,7 +164,7 @@ mod tests {
         let edited = SRC.replace("acc = acc + p->v;", "acc = acc + p->v + 1;");
         let mut prog2 = earth_frontend::compile(&edited).unwrap();
         let pristine2 = prog2.clone();
-        let (_, snap2, _) = optimize_program_incremental(&mut prog2, &cfg, 1, &snap).unwrap();
+        let (_, snap2, _) = optimize_program_incremental(&mut prog2, &cfg, &snap).unwrap();
         assert!(verify_incremental(&pristine2, &cfg, &snap2).is_empty());
     }
 

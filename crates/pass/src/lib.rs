@@ -40,7 +40,7 @@
 //! let mut pm = PassManager::new();
 //! pm.register(passes::VerifyPlacementPass::new(cfg.clone()));
 //! pm.register(passes::RaceLintPass::new());
-//! pm.register(passes::OptimizePass::new(cfg, 1));
+//! pm.register(passes::OptimizePass::new(cfg));
 //! pm.register(passes::ValidateIrPass);
 //! let report = pm.run(&mut prog, &mut cache).unwrap();
 //! // Three analysis consumers, one whole-program analysis:
@@ -318,7 +318,7 @@ mod tests {
         let mut pm = PassManager::new();
         pm.register(VerifyPlacementPass::new(cfg.clone()));
         pm.register(RaceLintPass::new());
-        pm.register(OptimizePass::new(cfg, 2));
+        pm.register(OptimizePass::new(cfg));
         pm.register(ValidateIrPass);
         let report = pm.run(&mut prog, &mut cache).unwrap();
         assert_eq!(report.cache.misses, 1, "{}", report.render());
@@ -338,7 +338,7 @@ mod tests {
         let cfg = earth_commopt::CommOptConfig::default();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg, 1));
+        pm.register(OptimizePass::new(cfg));
         pm.register(RaceLintPass::new());
         let report = pm.run(&mut prog, &mut cache).unwrap();
         // The lint pass after optimize pays at most a per-function refresh
@@ -357,7 +357,7 @@ mod tests {
         let mut reference = compile(SRC).unwrap();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg.clone(), 1));
+        pm.register(OptimizePass::new(cfg.clone()));
         pm.run(&mut reference, &mut cache).unwrap();
         // Cold incremental run.
         let slot = Arc::new(Mutex::new(SnapshotSlot::default()));
@@ -366,7 +366,6 @@ mod tests {
         let mut pm = PassManager::new();
         pm.register(IncrementalOptimizePass::new(
             cfg.clone(),
-            1,
             None,
             slot.clone(),
         ));
@@ -388,7 +387,6 @@ mod tests {
         let mut pm = PassManager::new();
         pm.register(IncrementalOptimizePass::new(
             cfg,
-            1,
             Some(snapshot),
             slot2.clone(),
         ));
@@ -416,7 +414,7 @@ mod tests {
         let mut prog = compile(SRC).unwrap();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(IncrementalOptimizePass::new(cfg, 2, None, slot));
+        pm.register(IncrementalOptimizePass::new(cfg, None, slot));
         let report = pm.run(&mut prog, &mut cache).unwrap();
         let json = report.to_json();
         let v = earth_ir::json::parse(&json).unwrap();
@@ -458,7 +456,7 @@ mod tests {
         let cfg = earth_commopt::CommOptConfig::default();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg, 1));
+        pm.register(OptimizePass::new(cfg));
         pm.register(ValidateIrPass);
         let report = pm.run(&mut prog, &mut cache).unwrap();
         let text = report.render();

@@ -250,7 +250,7 @@ impl Pass for ProbAliasPass {
 /// Whole-program escape & node-affinity survey (`--escape on`).
 ///
 /// The optimizer computes its own [`EscapeAnalysis`] instance when it runs
-/// (once, before the per-function fan-out); this pass surfaces the same
+/// (once, before the per-function loop); this pass surfaces the same
 /// verdicts as pipeline counters *before* selection, so timing reports and
 /// drivers can see how much communication the escape upgrades stand to
 /// delete: how many allocation-site regions proved node-local, how many
@@ -283,27 +283,20 @@ impl Pass for EscapePass {
 }
 
 /// The paper's communication optimization (possible-placement analysis +
-/// selection + transformation), fanned out per function across scoped
-/// worker threads with a deterministic [`FuncId`](earth_ir::FuncId)-ordered
-/// merge.
+/// selection + transformation), one function after another in
+/// [`FuncId`](earth_ir::FuncId) order.
 #[derive(Debug, Clone)]
 pub struct OptimizePass {
     /// Optimizer configuration.
     pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#functions`).
-    pub workers: usize,
     /// The per-function reports of the last run.
     pub last: Option<OptReport>,
 }
 
 impl OptimizePass {
-    /// A pass optimizing under `cfg` with the given fan-out width.
-    pub fn new(cfg: CommOptConfig, workers: usize) -> Self {
-        OptimizePass {
-            cfg,
-            workers,
-            last: None,
-        }
+    /// A pass optimizing under `cfg`.
+    pub fn new(cfg: CommOptConfig) -> Self {
+        OptimizePass { cfg, last: None }
     }
 }
 
@@ -319,7 +312,7 @@ impl Pass for OptimizePass {
         report: &mut PassReport,
     ) -> Result<(), Vec<Diagnostic>> {
         let analysis = cache.get(prog);
-        let opt = optimize_program_with(prog, &self.cfg, analysis, self.workers);
+        let opt = optimize_program_with(prog, &self.cfg, analysis);
         // Only the functions selection actually rewrote are stale.
         let mut changed = 0u64;
         for f in &opt.functions {
@@ -329,7 +322,6 @@ impl Pass for OptimizePass {
             }
         }
         let t = opt.total();
-        report.counter("workers", self.workers as u64);
         report.counter("functions_changed", changed);
         report.counter("pipelined_reads", t.pipelined_reads as u64);
         report.counter("blocked_spans", t.blocked_spans as u64);
@@ -372,8 +364,6 @@ pub struct SnapshotSlot {
 pub struct IncrementalOptimizePass {
     /// Optimizer configuration.
     pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#dirty-functions`).
-    pub workers: usize,
     /// The per-function reports of the last run.
     pub last: Option<OptReport>,
     prev: Option<Arc<PipelineSnapshot>>,
@@ -385,13 +375,11 @@ impl IncrementalOptimizePass {
     /// snapshot and counters into `out`.
     pub fn new(
         cfg: CommOptConfig,
-        workers: usize,
         prev: Option<Arc<PipelineSnapshot>>,
         out: Arc<Mutex<SnapshotSlot>>,
     ) -> Self {
         IncrementalOptimizePass {
             cfg,
-            workers,
             last: None,
             prev,
             out,
@@ -418,15 +406,13 @@ impl Pass for IncrementalOptimizePass {
         };
         let (opt, snapshot, inc, fallback) = match seed {
             Ok(p) => {
-                let (opt, snap, inc) =
-                    optimize_program_incremental(prog, &self.cfg, self.workers, &p)
-                        .expect("applicability was checked");
+                let (opt, snap, inc) = optimize_program_incremental(prog, &self.cfg, &p)
+                    .expect("applicability was checked");
                 (opt, snap, inc, None)
             }
             Err(reason) => {
                 let analysis = cache.get(prog);
-                let (opt, snap) =
-                    optimize_program_snapshot(prog, &self.cfg, self.workers, analysis);
+                let (opt, snap) = optimize_program_snapshot(prog, &self.cfg, analysis);
                 let inc = IncrementalStats {
                     functions_reoptimized: opt.functions.len() as u64,
                     ..IncrementalStats::default()
@@ -444,7 +430,6 @@ impl Pass for IncrementalOptimizePass {
             }
         }
         let t = opt.total();
-        report.counter("workers", self.workers as u64);
         report.counter("functions_changed", changed);
         report.counter("functions_reused", inc.functions_reused);
         report.counter("functions_reoptimized", inc.functions_reoptimized);
@@ -487,8 +472,6 @@ pub struct PgoPass {
     /// Optimizer configuration; [`CommOptConfig::profile`] holds the
     /// database the pass was built with.
     pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#functions`).
-    pub workers: usize,
     /// The per-function reports of the last run.
     pub last: Option<OptReport>,
 }
@@ -496,14 +479,10 @@ pub struct PgoPass {
 impl PgoPass {
     /// A profile-guided optimization pass: `cfg` with its
     /// [`profile`](CommOptConfig::profile) replaced by `db`.
-    pub fn new(cfg: CommOptConfig, db: Arc<ProfileDb>, workers: usize) -> Self {
+    pub fn new(cfg: CommOptConfig, db: Arc<ProfileDb>) -> Self {
         let mut cfg = cfg;
         cfg.profile = Some(db);
-        PgoPass {
-            cfg,
-            workers,
-            last: None,
-        }
+        PgoPass { cfg, last: None }
     }
 }
 
@@ -532,7 +511,7 @@ impl Pass for PgoPass {
             matched += db.function_view(fid, f).matched() as u64;
         }
         let analysis = cache.get(prog);
-        let opt = optimize_program_with(prog, &self.cfg, analysis, self.workers);
+        let opt = optimize_program_with(prog, &self.cfg, analysis);
         let mut changed = 0u64;
         for f in &opt.functions {
             if f.stats != SelectionStats::default() || !f.motion.is_empty() {
@@ -544,7 +523,6 @@ impl Pass for PgoPass {
         report.counter("sites_instrumented", sites.len() as u64);
         report.counter("sites_matched", matched);
         report.counter("decisions_flipped", t.pgo_flips as u64);
-        report.counter("workers", self.workers as u64);
         report.counter("functions_changed", changed);
         report.counter("pipelined_reads", t.pipelined_reads as u64);
         report.counter("blocked_spans", t.blocked_spans as u64);

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! earthcc run  prog.ec [--nodes N] [--no-opt] [--no-locality] [--verify-placement]
-//!                      [--alias binary|prob] [--escape on|off] [--workers N]
+//!                      [--alias binary|prob] [--escape on|off]
 //!                      [--timings] [--report-json]
 //!                      [--arg V]... [--profile-out FILE | --profile-in FILE]
-//! earthcc pgo  prog.ec [--nodes N] [--workers N] [--arg V]...   # instrument, run, recompile
+//! earthcc pgo  prog.ec [--nodes N] [--arg V]...   # instrument, run, recompile
 //! earthcc dump prog.ec [--simple | --optimized] [--func NAME]
 //! earthcc stats prog.ec [--nodes N] [--arg V]...   # simple vs optimized
 //! earthcc lint prog.ec [--json]        # parallel-soundness linter
@@ -56,7 +56,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  earthcc run    <file.ec> [--nodes N] [--backend interp|native] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--backend interp|native] [--alias binary|prob] [--escape on|off] [--workers N] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--alias binary|prob] [--escape on|off] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)"
+        "usage:\n  earthcc run    <file.ec> [--nodes N] [--backend interp|native] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--backend interp|native] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--alias binary|prob] [--escape on|off] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)"
     );
     ExitCode::from(2)
 }
@@ -84,7 +84,6 @@ struct Opts {
     dump_fibers: bool,
     verify: bool,
     json: bool,
-    workers: Option<usize>,
     timings: bool,
     report_json: bool,
     profile_in: Option<String>,
@@ -123,7 +122,6 @@ fn parse_opts(rest: &[String], needs_file: bool) -> Result<Opts, String> {
         dump_fibers: false,
         verify: false,
         json: false,
-        workers: None,
         timings: false,
         report_json: false,
         profile_in: None,
@@ -155,14 +153,6 @@ fn parse_opts(rest: &[String], needs_file: bool) -> Result<Opts, String> {
             "--json" => o.json = true,
             "--timings" => o.timings = true,
             "--report-json" => o.report_json = true,
-            "--workers" => {
-                o.workers = Some(
-                    it.next()
-                        .ok_or("--workers needs a value")?
-                        .parse()
-                        .map_err(|_| "--workers needs an integer")?,
-                );
-            }
             "--profile-in" => {
                 o.profile_in = Some(it.next().ok_or("--profile-in needs a file")?.clone());
             }
@@ -507,9 +497,6 @@ fn main() -> ExitCode {
                 .backend(opts.backend)
                 .record_op_stats(opts.op_stats)
                 .entry(opts.entry.clone());
-            if let Some(w) = opts.workers {
-                pipeline = pipeline.workers(w);
-            }
             if let Some(path) = &opts.profile_out {
                 // Instrumented run: pre-passes only, site recording on.
                 return match pipeline.instrument_source(&src, &opts.args) {
@@ -579,14 +566,11 @@ fn main() -> ExitCode {
             }
         }
         "pgo" => {
-            let mut base = Pipeline::new()
+            let base = Pipeline::new()
                 .nodes(opts.nodes)
                 .locality(opts.locality)
                 .backend(opts.backend)
                 .entry(opts.entry.clone());
-            if let Some(w) = opts.workers {
-                base = base.workers(w);
-            }
             let (instrumented, profile) = match base.instrument_source(&src, &opts.args) {
                 Ok(r) => r,
                 Err(e) => {
@@ -763,7 +747,6 @@ fn main() -> ExitCode {
                 let (_, snapshot) = earthc::earth_commopt::optimize_program_snapshot(
                     &mut snap_prog,
                     &cfg,
-                    1,
                     &analysis,
                 );
                 violations.extend(earth_lint::verify_incremental(&prog, &cfg, &snapshot));

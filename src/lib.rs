@@ -164,7 +164,6 @@ pub struct Pipeline {
     infer_locality: bool,
     inline: Option<earth_commopt::InlineConfig>,
     reorder_fields: bool,
-    workers: Option<usize>,
     profile: Option<Arc<ProfileDb>>,
     entry: String,
     machine: earth_sim::MachineConfig,
@@ -189,7 +188,6 @@ impl Pipeline {
             infer_locality: true,
             inline: None,
             reorder_fields: false,
-            workers: None,
             profile: None,
             entry: "main".into(),
             machine: earth_sim::MachineConfig::default(),
@@ -229,16 +227,6 @@ impl Pipeline {
     /// possibly-racy constructs do not abort the run. Off by default.
     pub fn lint(mut self, on: bool) -> Self {
         self.lint = on;
-        self
-    }
-
-    /// Sets the optimizer's per-function fan-out width (number of scoped
-    /// worker threads). Defaults to [`earth_commopt::default_workers`] and
-    /// is clamped through [`earth_commopt::clamp_workers`] — `0` and
-    /// oversubscribed requests can't spawn a degenerate pool. The output
-    /// is byte-identical for any width.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
         self
     }
 
@@ -306,27 +294,22 @@ impl Pipeline {
     /// [`EscapeMode::On`](earth_commopt::EscapeMode); with a
     /// [`profile`](Self::profile) set, optimize runs as `pgo-optimize`).
     pub fn pass_manager(&self) -> PassManager {
-        self.pass_manager_with(|pm, cfg, workers, profile| match profile {
+        self.pass_manager_with(|pm, cfg, profile| match profile {
             Some(db) => {
-                pm.register(earth_pass::PgoPass::new(cfg.clone(), db.clone(), workers));
+                pm.register(earth_pass::PgoPass::new(cfg.clone(), db.clone()));
             }
             None => {
-                pm.register(earth_pass::OptimizePass::new(cfg.clone(), workers));
+                pm.register(earth_pass::OptimizePass::new(cfg.clone()));
             }
         })
     }
 
     /// [`pass_manager`](Self::pass_manager) with the optimizer slot filled
-    /// by `register_optimizer` (handed the config, the clamped worker
-    /// count, and the profile when one is set).
+    /// by `register_optimizer` (handed the config and the profile when one
+    /// is set).
     fn pass_manager_with(
         &self,
-        register_optimizer: impl FnOnce(
-            &mut PassManager,
-            &CommOptConfig,
-            usize,
-            Option<&Arc<ProfileDb>>,
-        ),
+        register_optimizer: impl FnOnce(&mut PassManager, &CommOptConfig, Option<&Arc<ProfileDb>>),
     ) -> PassManager {
         let mut pm = PassManager::new();
         if let Some(icfg) = &self.inline {
@@ -356,10 +339,7 @@ impl Pipeline {
             if self.lint {
                 pm.register(earth_pass::RaceLintPass::new());
             }
-            let workers = earth_commopt::clamp_workers(
-                self.workers.unwrap_or_else(earth_commopt::default_workers),
-            );
-            register_optimizer(&mut pm, cfg, workers, self.profile.as_ref());
+            register_optimizer(&mut pm, cfg, self.profile.as_ref());
         } else if self.lint {
             pm.register(earth_pass::RaceLintPass::new());
         }
@@ -411,14 +391,13 @@ impl Pipeline {
             return Ok((report, None, IncrementalStats::default()));
         }
         let slot = Arc::new(std::sync::Mutex::new(earth_pass::SnapshotSlot::default()));
-        let mut pm = self.pass_manager_with(|pm, cfg, workers, profile| {
+        let mut pm = self.pass_manager_with(|pm, cfg, profile| {
             let mut cfg = cfg.clone();
             if let Some(db) = profile {
                 cfg.profile = Some(db.clone());
             }
             pm.register(earth_pass::IncrementalOptimizePass::new(
                 cfg,
-                workers,
                 prev,
                 slot.clone(),
             ));

@@ -1,11 +1,11 @@
-//! Parallel-vs-sequential determinism of the optimizer fan-out.
+//! Determinism of the optimizer across the threads that run it.
 //!
-//! `optimize_program_with` distributes per-function placement + selection
-//! across scoped worker threads and merges the results in `FuncId` order.
-//! These tests pin the contract: for every sample program, paper-figure
-//! example, and Olden kernel, optimizing with 1 worker and with N workers
-//! must produce byte-identical pretty-printed IR, identical `MotionLog`s,
-//! and identical `SelectionStats`.
+//! An `earthd` pool worker compiles a request on whichever thread picks it
+//! up, and every thread seeds its hash maps differently. These tests pin
+//! the contract: for every sample program, paper-figure example, and Olden
+//! kernel, two compiles on two fresh threads produce byte-identical
+//! pretty-printed IR, identical `MotionLog`s, and identical
+//! `SelectionStats` — no result may depend on hash iteration order.
 
 use earthc::earth_analysis;
 use earthc::earth_commopt::{
@@ -73,43 +73,53 @@ const PAPER_FIGURES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Optimizes `src` with the given config and worker count; returns the
-/// printed IR, the per-function motion logs, and the summed selection
-/// counters.
-fn optimize_with_workers_cfg(
-    src: &str,
-    cfg: &CommOptConfig,
-    workers: usize,
-) -> (String, Vec<MotionLog>, SelectionStats) {
+/// Runs `f` twice, concurrently, on two freshly spawned threads. Each
+/// fresh thread seeds its hash maps differently, so any output that
+/// depends on hash iteration order differs between the two results.
+fn on_two_threads<T: Send>(f: impl Fn() -> T + Sync) -> (T, T) {
+    std::thread::scope(|s| {
+        let a = s.spawn(&f);
+        let b = s.spawn(&f);
+        (
+            a.join().expect("first thread"),
+            b.join().expect("second thread"),
+        )
+    })
+}
+
+/// Optimizes `src` with the given config; returns the printed IR, the
+/// per-function motion logs, and the summed selection counters.
+fn optimize_cfg(src: &str, cfg: &CommOptConfig) -> (String, Vec<MotionLog>, SelectionStats) {
     let mut prog = earthc::compile_earth_c(src).expect("compiles");
     earth_analysis::infer_locality(&mut prog);
     let analysis = earth_analysis::analyze(&prog);
-    let report = optimize_program_with(&mut prog, cfg, &analysis, workers);
+    let report = optimize_program_with(&mut prog, cfg, &analysis);
     let motions = report.functions.iter().map(|f| f.motion.clone()).collect();
     (pretty::print_program(&prog), motions, report.total())
 }
 
-fn optimize_with_workers(src: &str, workers: usize) -> (String, Vec<MotionLog>, SelectionStats) {
-    optimize_with_workers_cfg(src, &CommOptConfig::default(), workers)
+/// Asserts that two compiles of `src` on two fresh threads agree.
+fn assert_deterministic_cfg(
+    name: &str,
+    src: &str,
+    cfg: &CommOptConfig,
+) -> (String, Vec<MotionLog>, SelectionStats) {
+    let ((ir1, motions1, stats1), (ir2, motions2, stats2)) =
+        on_two_threads(|| optimize_cfg(src, cfg));
+    assert_eq!(ir1, ir2, "{name}: IR differs between two compiles");
+    assert_eq!(
+        motions1, motions2,
+        "{name}: motion logs differ between two compiles"
+    );
+    assert_eq!(
+        stats1, stats2,
+        "{name}: selection stats differ between two compiles"
+    );
+    (ir1, motions1, stats1)
 }
 
 fn assert_deterministic(name: &str, src: &str) {
-    let (ir1, motions1, stats1) = optimize_with_workers(src, 1);
-    for workers in [2usize, 4, 8] {
-        let (ir_n, motions_n, stats_n) = optimize_with_workers(src, workers);
-        assert_eq!(
-            ir1, ir_n,
-            "{name}: IR differs between 1 and {workers} workers"
-        );
-        assert_eq!(
-            motions1, motions_n,
-            "{name}: motion logs differ between 1 and {workers} workers"
-        );
-        assert_eq!(
-            stats1, stats_n,
-            "{name}: selection stats differ between 1 and {workers} workers"
-        );
-    }
+    assert_deterministic_cfg(name, src, &CommOptConfig::default());
 }
 
 #[test]
@@ -146,10 +156,10 @@ fn olden_kernels_are_deterministic() {
     }
 }
 
-/// Profile-guided optimization is worker-count-invariant too: feeding the
-/// same measured profile, 1 worker and N workers must produce
-/// byte-identical optimized IR and identical selection counters
-/// (including `pgo_flips`).
+/// Profile-guided optimization does not depend on the worker thread
+/// either: feeding the same measured profile, two compiles on two fresh
+/// threads produce byte-identical optimized IR and identical selection
+/// counters (including `pgo_flips`).
 #[test]
 fn pgo_output_is_worker_invariant() {
     use earthc::earth_olden::Preset;
@@ -177,38 +187,35 @@ fn pgo_output_is_worker_invariant() {
             profile: Some(db),
             ..CommOptConfig::default()
         };
-        let opt = |workers: usize| {
+        let opt = || {
             let mut prog = earthc::compile_earth_c(bench.source).expect("compiles");
             let analysis = earth_analysis::analyze(&prog);
-            let report = optimize_program_with(&mut prog, &cfg, &analysis, workers);
+            let report = optimize_program_with(&mut prog, &cfg, &analysis);
             (pretty::print_program(&prog), report.total())
         };
-        let (ir1, stats1) = opt(1);
+        let ((ir1, stats1), (ir2, stats2)) = on_two_threads(opt);
         // Every Olden kernel's measured profile flips at least one
         // selection decision at this size, so this exercises the PGO path
         // for real rather than vacuously agreeing on static choices.
         assert!(stats1.pgo_flips > 0, "{}: no decisions flipped", bench.name);
-        for workers in [2usize, 8] {
-            let (ir_n, stats_n) = opt(workers);
-            assert_eq!(
-                ir1, ir_n,
-                "{}: PGO IR differs between 1 and {workers} workers",
-                bench.name
-            );
-            assert_eq!(
-                stats1, stats_n,
-                "{}: PGO stats differ between 1 and {workers} workers",
-                bench.name
-            );
-        }
+        assert_eq!(
+            ir1, ir2,
+            "{}: PGO IR differs between two compiles",
+            bench.name
+        );
+        assert_eq!(
+            stats1, stats2,
+            "{}: PGO stats differ between two compiles",
+            bench.name
+        );
     }
 }
 
-/// Prob-alias mode is worker-count-invariant too: the probability facts
-/// are recomputed per function from the IR alone, so distributing
-/// placement + selection across threads must not perturb them. Sweeps the
-/// sample programs and every Olden kernel; health must exercise the
-/// induction relaxation for real (non-zero `induction_blocks`).
+/// Prob-alias mode does not depend on the worker thread either: the
+/// probability facts are recomputed per function from the IR alone, so
+/// two compiles on two fresh threads must agree. Sweeps the sample
+/// programs and every Olden kernel; health must exercise the induction
+/// relaxation for real (non-zero `induction_blocks`).
 #[test]
 fn prob_alias_output_is_worker_invariant() {
     let cfg = CommOptConfig {
@@ -227,26 +234,11 @@ fn prob_alias_output_is_worker_invariant() {
         sources.push((bench.name.to_string(), bench.source.to_string()));
     }
     for (name, src) in &sources {
-        let (ir1, motions1, stats1) = optimize_with_workers_cfg(src, &cfg, 1);
+        let (_, _, stats) = assert_deterministic_cfg(name, src, &cfg);
         if name == "health" {
             assert!(
-                stats1.induction_blocks > 0,
+                stats.induction_blocks > 0,
                 "health: prob path not exercised"
-            );
-        }
-        for workers in [2usize, 8] {
-            let (ir_n, motions_n, stats_n) = optimize_with_workers_cfg(src, &cfg, workers);
-            assert_eq!(
-                ir1, ir_n,
-                "{name}: prob IR differs between 1 and {workers} workers"
-            );
-            assert_eq!(
-                motions1, motions_n,
-                "{name}: prob motion logs differ between 1 and {workers} workers"
-            );
-            assert_eq!(
-                stats1, stats_n,
-                "{name}: prob stats differ between 1 and {workers} workers"
             );
         }
     }
@@ -297,8 +289,9 @@ fn prob_optimized_matches_simple_results() {
 }
 
 /// The end-to-end pipeline (with inlining and field reordering enabled, so
-/// every transform pass runs) is worker-count-invariant too: same result,
-/// same virtual time, same dynamic communication stats.
+/// every transform pass runs) does not depend on the worker thread either:
+/// two runs on two fresh threads give the same result, the same virtual
+/// time, and the same dynamic communication stats.
 #[test]
 fn full_pipeline_is_worker_invariant() {
     use earthc::{Pipeline, Value};
@@ -318,10 +311,9 @@ fn full_pipeline_is_worker_invariant() {
         }}
     "#
     );
-    let run = |workers: usize| {
+    let run = || {
         Pipeline::new()
             .nodes(4)
-            .workers(workers)
             .inlining(Some(earthc::earth_commopt::InlineConfig::default()))
             .field_reordering(true)
             .verify(true)
@@ -329,15 +321,12 @@ fn full_pipeline_is_worker_invariant() {
             .run_source(&wrapped, &[])
             .unwrap()
     };
-    let one = run(1);
-    for workers in [2usize, 8] {
-        let n = run(workers);
-        assert_eq!(one.ret, n.ret);
-        assert_eq!(
-            one.time_ns, n.time_ns,
-            "virtual time must not depend on host threads"
-        );
-        assert_eq!(one.stats, n.stats);
-    }
+    let (one, two) = on_two_threads(run);
+    assert_eq!(one.ret, two.ret);
+    assert_eq!(
+        one.time_ns, two.time_ns,
+        "virtual time must not depend on host threads"
+    );
+    assert_eq!(one.stats, two.stats);
     assert_eq!(one.ret, Value::Double(5.0));
 }

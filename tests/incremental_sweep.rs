@@ -100,7 +100,7 @@ fn edit_function(base: &Program, fid: FuncId) -> Option<Program> {
 fn scratch(prog: &Program, cfg: &CommOptConfig) -> (String, Vec<MotionLog>) {
     let mut p = prog.clone();
     let analysis = earth_analysis::analyze(&p);
-    let (report, _) = optimize_program_snapshot(&mut p, cfg, 1, &analysis);
+    let (report, _) = optimize_program_snapshot(&mut p, cfg, &analysis);
     let motions = report.functions.iter().map(|f| f.motion.clone()).collect();
     (pretty::print_program(&p), motions)
 }
@@ -150,7 +150,7 @@ fn every_function_edit_is_deterministic_and_verifiable() {
         let base = prepare(&src);
         for (cfg_name, cfg) in sweep_configs() {
             let base_analysis = earth_analysis::analyze(&base);
-            let (_, snap) = optimize_program_snapshot(&mut base.clone(), &cfg, 1, &base_analysis);
+            let (_, snap) = optimize_program_snapshot(&mut base.clone(), &cfg, &base_analysis);
             let fids: Vec<FuncId> = base.iter_functions().map(|(id, _)| id).collect();
             for fid in fids {
                 let Some(edited) = edit_function(&base, fid) else {
@@ -160,7 +160,7 @@ fn every_function_edit_is_deterministic_and_verifiable() {
                 let ctx = format!("{name} [{cfg_name}] edit in `{}`", base.function(fid).name);
                 let (ir_ref, motions_ref) = scratch(&edited, &cfg);
                 let mut p = edited.clone();
-                let (report, snap2, stats) = optimize_program_incremental(&mut p, &cfg, 1, &snap)
+                let (report, snap2, stats) = optimize_program_incremental(&mut p, &cfg, &snap)
                     .unwrap_or_else(|r| panic!("{ctx}: snapshot refused: {r:?}"));
                 assert_eq!(
                     pretty::print_program(&p),

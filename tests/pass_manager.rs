@@ -106,7 +106,6 @@ fn optimize_pass_reports_motion_counters() {
     let opt = report.pass("optimize").expect("optimize ran");
     assert_eq!(opt.get_counter("pipelined_reads"), Some(2));
     assert_eq!(opt.get_counter("reads_rewritten"), Some(4));
-    assert!(opt.get_counter("workers").unwrap() >= 1);
     // Exactly the functions selection rewrote were invalidated.
     assert_eq!(
         opt.get_counter("functions_changed"),
@@ -162,43 +161,6 @@ fn verify_pass_reports_clean_run_and_json_shape() {
         json.matches('}').count(),
         "{json}"
     );
-}
-
-/// Worker-count configuration is honored end to end — clamped through
-/// `clamp_workers` so `0` and oversubscribed requests can't spawn a
-/// degenerate pool — and has no effect on results (full determinism
-/// tests live in tests/determinism.rs).
-#[test]
-fn workers_config_reaches_optimize_pass() {
-    let (r1, report1) = Pipeline::new()
-        .workers(1)
-        .run_source_report(SRC, &[])
-        .unwrap();
-    let (r8, report8) = Pipeline::new()
-        .workers(8)
-        .run_source_report(SRC, &[])
-        .unwrap();
-    let (r0, report0) = Pipeline::new()
-        .workers(0)
-        .run_source_report(SRC, &[])
-        .unwrap();
-    assert_eq!(
-        report1.pass("optimize").unwrap().get_counter("workers"),
-        Some(1)
-    );
-    assert_eq!(
-        report8.pass("optimize").unwrap().get_counter("workers"),
-        Some(earthc::earth_commopt::clamp_workers(8) as u64)
-    );
-    assert_eq!(
-        report0.pass("optimize").unwrap().get_counter("workers"),
-        Some(1),
-        "a zero-worker request must clamp up to one"
-    );
-    assert_eq!(r1.ret, r8.ret);
-    assert_eq!(r1.time_ns, r8.time_ns);
-    assert_eq!(r1.ret, r0.ret);
-    assert_eq!(r1.time_ns, r0.time_ns);
 }
 
 /// Legacy entry points still work and stay consistent with the report

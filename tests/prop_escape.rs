@@ -2,11 +2,11 @@
 //!
 //! 1. with `--escape off` (the default) the optimizer's output is
 //!    byte-identical to the pre-escape per-function pipeline over random
-//!    list programs — threading the (absent) analysis through the fan-out
-//!    changes nothing,
-//! 2. escape verdicts and the escape-optimized IR are worker-count
-//!    invariant — the whole-program analysis is computed once before the
-//!    fan-out, so every worker reads the same verdicts, and
+//!    list programs — threading the (absent) analysis through the
+//!    per-function loop changes nothing,
+//! 2. escape verdicts and the escape-optimized IR do not depend on the
+//!    thread that computes them — two compiles on two fresh threads (each
+//!    seeding its hash maps differently) agree byte for byte, and
 //! 3. forcing every region to `Shared` yields an analysis with zero
 //!    upgrades whose `apply` is a no-op, reproducing the baseline IR and
 //!    `MotionLog`s exactly — escape mode degrades gracefully to the
@@ -128,17 +128,13 @@ fn random_source(rng: &mut earth_qcheck::Rng) -> String {
     program_source(alloc, call, &body)
 }
 
-/// Optimizes `src` with the given config and worker count; returns the
-/// printed IR, the per-function motion logs, and the summed counters.
-fn optimize(
-    src: &str,
-    cfg: &CommOptConfig,
-    workers: usize,
-) -> (String, Vec<MotionLog>, SelectionStats) {
+/// Optimizes `src` with the given config; returns the printed IR, the
+/// per-function motion logs, and the summed counters.
+fn optimize(src: &str, cfg: &CommOptConfig) -> (String, Vec<MotionLog>, SelectionStats) {
     let mut prog = earthc::compile_earth_c(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     earth_analysis::infer_locality(&mut prog);
     let analysis = earth_analysis::analyze(&prog);
-    let report = optimize_program_with(&mut prog, cfg, &analysis, workers);
+    let report = optimize_program_with(&mut prog, cfg, &analysis);
     let motions = report.functions.iter().map(|f| f.motion.clone()).collect();
     (pretty::print_program(&prog), motions, report.total())
 }
@@ -151,7 +147,7 @@ fn escape_off_matches_per_function_replay() {
         let src = random_source(rng);
         let cfg = CommOptConfig::default();
         assert_eq!(cfg.escape, EscapeMode::Off);
-        let (ir, _, _) = optimize(&src, &cfg, 1);
+        let (ir, _, _) = optimize(&src, &cfg);
 
         // Manual per-function replay, no escape analysis anywhere.
         let mut prog = earthc::compile_earth_c(&src).unwrap();
@@ -175,23 +171,26 @@ fn escape_off_matches_per_function_replay() {
 }
 
 /// Property 2: escape verdicts and the escape-optimized output do not
-/// depend on the optimizer's worker count.
+/// depend on the thread that computes them.
 #[test]
-fn escape_pipeline_is_worker_count_invariant() {
+fn escape_pipeline_is_thread_invariant() {
     earth_qcheck::cases(60, |rng| {
         let src = random_source(rng);
         let cfg = CommOptConfig {
             escape: EscapeMode::On,
             ..CommOptConfig::default()
         };
-        let (ir1, motions1, stats1) = optimize(&src, &cfg, 1);
-        let (ir3, motions3, stats3) = optimize(&src, &cfg, 3);
-        assert_eq!(ir1, ir3, "IR differs between 1 and 3 workers:\n{src}");
+        let ((ir1, motions1, stats1), (ir2, motions2, stats2)) = std::thread::scope(|s| {
+            let a = s.spawn(|| optimize(&src, &cfg));
+            let b = s.spawn(|| optimize(&src, &cfg));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(ir1, ir2, "IR differs between two compiles:\n{src}");
         assert_eq!(
-            motions1, motions3,
+            motions1, motions2,
             "motion logs (incl. escape justifications) differ:\n{src}"
         );
-        assert_eq!(stats1, stats3, "selection stats differ:\n{src}");
+        assert_eq!(stats1, stats2, "selection stats differ:\n{src}");
     });
 }
 
@@ -202,7 +201,7 @@ fn forced_shared_reproduces_baseline() {
     earth_qcheck::cases(100, |rng| {
         let src = random_source(rng);
         let cfg = CommOptConfig::default();
-        let (baseline_ir, baseline_motions, _) = optimize(&src, &cfg, 1);
+        let (baseline_ir, baseline_motions, _) = optimize(&src, &cfg);
 
         let mut prog = earthc::compile_earth_c(&src).unwrap();
         earth_analysis::infer_locality(&mut prog);

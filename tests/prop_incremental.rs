@@ -3,10 +3,9 @@
 //! 1. over random generated list programs, a random edit confined to one
 //!    function, recompiled incrementally from the previous snapshot, is
 //!    **byte-identical** (printed IR *and* per-function `MotionLog`s) to
-//!    a from-scratch compile of the edited source — for every worker
-//!    count and under binary alias, probabilistic alias, and escape
-//!    analysis alike — while touching at most the edited function plus
-//!    its escalated dependents;
+//!    a from-scratch compile of the edited source — under binary alias,
+//!    probabilistic alias, and escape analysis alike — while touching at
+//!    most the edited function plus its escalated dependents;
 //! 2. the same byte-identity holds for random integer-literal
 //!    perturbations of the real corpus — every `programs/*.ec` and every
 //!    embedded Olden kernel — where the edit lands in arbitrary
@@ -34,14 +33,10 @@ fn prepare(src: &str) -> Program {
 
 /// From-scratch compile: printed IR, motion logs, and the snapshot a
 /// cold incremental compile would cache.
-fn scratch(
-    src: &str,
-    cfg: &CommOptConfig,
-    workers: usize,
-) -> (String, Vec<MotionLog>, PipelineSnapshot) {
+fn scratch(src: &str, cfg: &CommOptConfig) -> (String, Vec<MotionLog>, PipelineSnapshot) {
     let mut prog = prepare(src);
     let analysis = earth_analysis::analyze(&prog);
-    let (report, snap) = optimize_program_snapshot(&mut prog, cfg, workers, &analysis);
+    let (report, snap) = optimize_program_snapshot(&mut prog, cfg, &analysis);
     let motions = report.functions.iter().map(|f| f.motion.clone()).collect();
     (pretty::print_program(&prog), motions, snap)
 }
@@ -51,11 +46,10 @@ fn scratch(
 fn warm(
     src: &str,
     cfg: &CommOptConfig,
-    workers: usize,
     prev: &PipelineSnapshot,
 ) -> Option<(String, Vec<MotionLog>, IncrementalStats)> {
     let mut prog = prepare(src);
-    let (report, _, stats) = optimize_program_incremental(&mut prog, cfg, workers, prev).ok()?;
+    let (report, _, stats) = optimize_program_incremental(&mut prog, cfg, prev).ok()?;
     let motions = report.functions.iter().map(|f| f.motion.clone()).collect();
     Some((pretty::print_program(&prog), motions, stats))
 }
@@ -72,10 +66,6 @@ fn random_config(rng: &mut Rng) -> CommOptConfig {
             ..CommOptConfig::default()
         },
     }
-}
-
-fn random_workers(rng: &mut Rng) -> usize {
-    *rng.pick(&[1, 2, 8])
 }
 
 /// A generated two-function program: `walk` with a parameterized loop
@@ -163,11 +153,10 @@ fn assert_incremental_matches_scratch(
     base: &str,
     edited: &str,
     cfg: &CommOptConfig,
-    workers: usize,
 ) -> IncrementalStats {
-    let (_, _, snap) = scratch(base, cfg, 1);
-    let (ir_ref, motions_ref, _) = scratch(edited, cfg, 1);
-    let (ir, motions, stats) = warm(edited, cfg, workers, &snap)
+    let (_, _, snap) = scratch(base, cfg);
+    let (ir_ref, motions_ref, _) = scratch(edited, cfg);
+    let (ir, motions, stats) = warm(edited, cfg, &snap)
         .unwrap_or_else(|| panic!("snapshot unexpectedly inapplicable:\n{edited}"));
     assert_eq!(
         ir, ir_ref,
@@ -187,7 +176,7 @@ fn assert_incremental_matches_scratch(
 }
 
 /// Property 1: generated programs, single-function edits, every
-/// configuration and worker count.
+/// configuration.
 #[test]
 fn single_function_edit_matches_scratch_on_generated_programs() {
     earth_qcheck::cases(30, |rng| {
@@ -197,8 +186,7 @@ fn single_function_edit_matches_scratch_on_generated_programs() {
             return;
         }
         let cfg = random_config(rng);
-        let workers = random_workers(rng);
-        let stats = assert_incremental_matches_scratch(&base, &edited, &cfg, workers);
+        let stats = assert_incremental_matches_scratch(&base, &edited, &cfg);
         // The edit is confined to `walk`; `main` is touched only if
         // walk's summary change escalates into it.
         assert!(
@@ -232,8 +220,7 @@ fn literal_edits_match_scratch_on_real_corpus() {
             return; // the literal was load-bearing for the frontend
         }
         let cfg = random_config(rng);
-        let workers = random_workers(rng);
-        assert_incremental_matches_scratch(&base, &edited, &cfg, workers);
+        assert_incremental_matches_scratch(&base, &edited, &cfg);
     });
 }
 
@@ -258,7 +245,6 @@ fn pgo_incremental_matches_scratch() {
             profile: Some(Arc::new(ProfileDb::new(profile))),
             ..CommOptConfig::default()
         };
-        let workers = random_workers(rng);
-        assert_incremental_matches_scratch(&base, &edited, &cfg, workers);
+        assert_incremental_matches_scratch(&base, &edited, &cfg);
     });
 }
