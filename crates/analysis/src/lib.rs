@@ -69,7 +69,7 @@ pub use escape::{EscapeAnalysis, EscapeJustification, EscapeVerdict};
 pub use induction::{find_pointer_inductions, PointerInduction};
 pub use locality::{infer_locality, LocalityReport};
 pub use ptprob::{MeasuredFreqs, ProbFacts};
-pub use rw_sets::{HeapAccess, RwSet, RwSets};
+pub use rw_sets::{HeapAccess, RwSet, RwSets, VarSet};
 
 use earth_ir::{FieldId, FuncId, Label, Program, VarId};
 
@@ -120,19 +120,20 @@ impl FunctionAnalysis {
         kind: AccessKind,
     ) -> bool {
         let rw = self.rw.get(l);
-        let check = |accs: &std::collections::BTreeSet<HeapAccess>| {
+        let class = self.regions.class(p);
+        let check = |accs: &[HeapAccess]| {
             accs.iter().any(|h| {
                 let field_match = match (h.field, field) {
                     (None, _) | (_, None) => true,
                     (Some(a), Some(b)) => a == b,
                 };
-                field_match && self.regions.connected(h.base, p)
+                field_match && self.regions.class(h.base) == class
             })
         };
         match kind {
-            AccessKind::Read => check(&rw.heap_reads),
-            AccessKind::Write => check(&rw.heap_writes),
-            AccessKind::ReadOrWrite => check(&rw.heap_reads) || check(&rw.heap_writes),
+            AccessKind::Read => check(rw.heap_reads),
+            AccessKind::Write => check(rw.heap_writes),
+            AccessKind::ReadOrWrite => check(rw.heap_reads) || check(rw.heap_writes),
         }
     }
 }

@@ -178,7 +178,7 @@ impl ProbFacts {
             return 0.0;
         }
         let rw = fa.rw.get(l);
-        let direct = |accs: &std::collections::BTreeSet<crate::HeapAccess>| {
+        let direct = |accs: &[crate::HeapAccess]| {
             accs.iter().any(|h| {
                 let field_match = match (h.field, field) {
                     (None, _) | (_, None) => true,
@@ -188,9 +188,9 @@ impl ProbFacts {
             })
         };
         let is_direct = match kind {
-            AccessKind::Read => direct(&rw.heap_reads),
-            AccessKind::Write => direct(&rw.heap_writes),
-            AccessKind::ReadOrWrite => direct(&rw.heap_reads) || direct(&rw.heap_writes),
+            AccessKind::Read => direct(rw.heap_reads),
+            AccessKind::Write => direct(rw.heap_writes),
+            AccessKind::ReadOrWrite => direct(rw.heap_reads) || direct(rw.heap_writes),
         };
         if is_direct {
             1.0

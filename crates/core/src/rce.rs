@@ -1,8 +1,81 @@
 //! Remote communication expressions — the paper's `(p, f, n, Dlist)` tuples.
 
 use earth_ir::{FieldId, Label, VarId};
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
+
+/// A sorted, deduplicated, immutable set whose clones share one buffer:
+/// tuples are copied into the placement set of every statement they pass,
+/// and a copy costs a reference count, not an allocation.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SharedSet<T>(Arc<[T]>);
+
+impl<T: Copy + Ord> SharedSet<T> {
+    /// The set holding just `x`.
+    pub fn single(x: T) -> Self {
+        SharedSet(Arc::new([x]))
+    }
+
+    /// The elements, in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.0.iter()
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether `x` is in the set.
+    pub fn contains(&self, x: &T) -> bool {
+        self.0.binary_search(x).is_ok()
+    }
+
+    /// The union of both sets (shares `self`'s buffer when `other` adds
+    /// nothing).
+    pub fn union(&self, other: &Self) -> Self {
+        if Arc::ptr_eq(&self.0, &other.0) || other.iter().all(|x| self.contains(x)) {
+            return self.clone();
+        }
+        let mut v: Vec<T> = self.0.iter().chain(other.0.iter()).copied().collect();
+        v.sort_unstable();
+        v.dedup();
+        SharedSet(v.into())
+    }
+
+    /// The elements satisfying `keep` (shares the buffer when all do).
+    pub fn filtered(&self, mut keep: impl FnMut(&T) -> bool) -> Self {
+        if self.0.iter().all(&mut keep) {
+            return self.clone();
+        }
+        SharedSet(self.0.iter().copied().filter(|x| keep(x)).collect())
+    }
+}
+
+impl<T> Default for SharedSet<T> {
+    fn default() -> Self {
+        SharedSet(Arc::default())
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SharedSet<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SharedSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.0.iter()).finish()
+    }
+}
 
 /// A remote communication expression: field `field` of the object pointed
 /// to by `base`, with an estimated dynamic frequency and the set of basic
@@ -23,9 +96,9 @@ pub struct Rce {
     /// alternatives when hoisted out of conditionals.
     pub freq: f64,
     /// Labels of the original remote accesses this tuple covers.
-    pub labels: BTreeSet<Label>,
+    pub labels: SharedSet<Label>,
     /// For write tuples: variables holding values to be written.
-    pub value_vars: BTreeSet<VarId>,
+    pub value_vars: SharedSet<VarId>,
     /// Whether the tuple crossed a conditional or loop boundary during
     /// propagation (placing it earlier may introduce a speculative
     /// dereference; see the paper's footnote 2).
@@ -39,8 +112,8 @@ impl Rce {
             base,
             field,
             freq: 1.0,
-            labels: [label].into(),
-            value_vars: BTreeSet::new(),
+            labels: SharedSet::single(label),
+            value_vars: SharedSet::default(),
             speculative: false,
         }
     }
@@ -48,7 +121,7 @@ impl Rce {
     /// Creates a write tuple for a single access.
     pub fn write(base: VarId, field: FieldId, label: Label, value: Option<VarId>) -> Self {
         Rce {
-            value_vars: value.into_iter().collect(),
+            value_vars: value.map(SharedSet::single).unwrap_or_default(),
             ..Rce::read(base, field, label)
         }
     }
@@ -111,8 +184,8 @@ impl CommSet {
     pub fn add(&mut self, rce: Rce) {
         if let Some(existing) = self.items.iter_mut().find(|r| r.key() == rce.key()) {
             existing.freq += rce.freq;
-            existing.labels.extend(rce.labels.iter().copied());
-            existing.value_vars.extend(rce.value_vars.iter().copied());
+            existing.labels = existing.labels.union(&rce.labels);
+            existing.value_vars = existing.value_vars.union(&rce.value_vars);
             existing.speculative |= rce.speculative;
         } else {
             self.items.push(rce);
