@@ -15,99 +15,85 @@ use earth_ir::{Basic, Function, Label, MemRef, Place, Rvalue, Stmt, StmtKind};
 /// statements that are not remote accesses (both indicate an internal
 /// selection bug).
 pub fn apply_plan(func: &mut Function, plan: &Plan) {
-    let body = std::mem::replace(
+    let mut body = std::mem::replace(
         &mut func.body,
         Stmt {
             label: Label(0),
             kind: StmtKind::Seq(Vec::new()),
         },
     );
-    let new_body = rewrite(func, body, plan);
-    func.body = new_body;
+    rewrite(func, &mut body, plan);
+    func.body = body;
     func.sync_label_counter();
 }
 
-fn rewrite(func: &mut Function, s: Stmt, plan: &Plan) -> Stmt {
-    let label = s.label;
-    let kind = match s.kind {
+/// Rewrites `s` in place. Fresh labels are handed out in pre-order: a
+/// sequence child's inserted predecessors, then the child's subtree, then
+/// its inserted successors.
+fn rewrite(func: &mut Function, s: &mut Stmt, plan: &Plan) {
+    match &mut s.kind {
         StmtKind::Seq(children) => {
-            let mut out = Vec::with_capacity(children.len());
-            for child in children {
-                let child_label = child.label;
-                if let Some(inserts) = plan.inserts_before.get(&child_label) {
-                    for b in inserts {
-                        let l = func.fresh_label();
-                        out.push(Stmt {
-                            label: l,
-                            kind: StmtKind::Basic(b.clone()),
-                        });
-                    }
+            let has_inserts = children.iter().any(|c| {
+                plan.inserts_before.get(&c.label).is_some()
+                    || plan.inserts_after.get(&c.label).is_some()
+            });
+            if !has_inserts {
+                for c in children {
+                    rewrite(func, c, plan);
                 }
-                out.push(rewrite(func, child, plan));
-                if let Some(inserts) = plan.inserts_after.get(&child_label) {
-                    for b in inserts {
-                        let l = func.fresh_label();
-                        out.push(Stmt {
-                            label: l,
-                            kind: StmtKind::Basic(b.clone()),
-                        });
-                    }
-                }
+                return;
             }
-            StmtKind::Seq(out)
+            let old = std::mem::take(children);
+            let mut out = Vec::with_capacity(old.len());
+            let insert = |func: &mut Function, out: &mut Vec<Stmt>, bs: Option<&Vec<Basic>>| {
+                for b in bs.into_iter().flatten() {
+                    out.push(Stmt {
+                        label: func.fresh_label(),
+                        kind: StmtKind::Basic(b.clone()),
+                    });
+                }
+            };
+            for mut child in old {
+                let child_label = child.label;
+                insert(func, &mut out, plan.inserts_before.get(&child_label));
+                rewrite(func, &mut child, plan);
+                out.push(child);
+                insert(func, &mut out, plan.inserts_after.get(&child_label));
+            }
+            *children = out;
         }
-        StmtKind::ParSeq(children) => StmtKind::ParSeq(
-            children
-                .into_iter()
-                .map(|c| rewrite(func, c, plan))
-                .collect(),
-        ),
-        StmtKind::Basic(b) => StmtKind::Basic(match plan.replace.get(&label) {
-            Some(action) => apply_replace(b, *action),
-            None => b,
-        }),
-        StmtKind::If {
-            cond,
-            then_s,
-            else_s,
-        } => StmtKind::If {
-            cond,
-            then_s: Box::new(rewrite(func, *then_s, plan)),
-            else_s: Box::new(rewrite(func, *else_s, plan)),
-        },
-        StmtKind::Switch {
-            scrut,
-            cases,
-            default,
-        } => StmtKind::Switch {
-            scrut,
-            cases: cases
-                .into_iter()
-                .map(|(v, c)| (v, rewrite(func, c, plan)))
-                .collect(),
-            default: Box::new(rewrite(func, *default, plan)),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond,
-            body: Box::new(rewrite(func, *body, plan)),
-        },
-        StmtKind::DoWhile { body, cond } => StmtKind::DoWhile {
-            body: Box::new(rewrite(func, *body, plan)),
-            cond,
-        },
+        StmtKind::ParSeq(children) => {
+            for c in children {
+                rewrite(func, c, plan);
+            }
+        }
+        StmtKind::Basic(b) => {
+            if let Some(action) = plan.replace.get(&s.label) {
+                let old = std::mem::replace(b, Basic::Return(None));
+                *b = apply_replace(old, *action);
+            }
+        }
+        StmtKind::If { then_s, else_s, .. } => {
+            rewrite(func, then_s, plan);
+            rewrite(func, else_s, plan);
+        }
+        StmtKind::Switch { cases, default, .. } => {
+            for (_, c) in cases {
+                rewrite(func, c, plan);
+            }
+            rewrite(func, default, plan);
+        }
+        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+            rewrite(func, body, plan);
+        }
         StmtKind::Forall {
-            init,
-            cond,
-            step,
-            body,
-        } => StmtKind::Forall {
-            init: Box::new(rewrite(func, *init, plan)),
-            cond,
-            step: Box::new(rewrite(func, *step, plan)),
-            body: Box::new(rewrite(func, *body, plan)),
-        },
-    };
-    Stmt { label, kind }
+            init, step, body, ..
+        } => {
+            rewrite(func, init, plan);
+            rewrite(func, step, plan);
+            rewrite(func, body, plan);
+        }
+    }
 }
 
 fn apply_replace(b: Basic, action: Replace) -> Basic {
