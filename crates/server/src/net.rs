@@ -24,6 +24,10 @@
 //! input is discarded and its write side shut. A connection reads at most
 //! [`MAX_LINE`] bytes per tick, so one that streams without end cannot
 //! hold the loop; the rest waits for the next tick, which does not sleep.
+//! Output is bounded the same way: while a connection has [`MAX_LINE`] or
+//! more bytes of responses its peer has not taken, the loop stops reading
+//! from it (TCP flow control then blocks the peer's sends) and resumes
+//! once the backlog drains below [`MAX_LINE`].
 
 use crate::proto::Response;
 use crate::server::{Dispatched, Inner};
@@ -57,7 +61,9 @@ struct Conn {
     rbuf: Vec<u8>,
     /// Prefix of `rbuf` already searched for a newline.
     scanned: usize,
+    /// Responses queued for the peer; `wbuf[wpos..]` is not written yet.
     wbuf: Vec<u8>,
+    wpos: usize,
     last_activity: Instant,
     /// Requests handed to the pool whose responses have not come back.
     pending: usize,
@@ -77,6 +83,7 @@ impl Conn {
             rbuf: Vec::new(),
             scanned: 0,
             wbuf: Vec::new(),
+            wpos: 0,
             last_activity: Instant::now(),
             pending: 0,
             closing: false,
@@ -86,18 +93,29 @@ impl Conn {
     }
 
     fn queue_response(&mut self, resp: &Response) {
+        // Drop the written prefix once it is at least half the buffer, so
+        // each byte is moved at most once more (amortized linear).
+        if self.wpos > 0 && self.wpos * 2 >= self.wbuf.len() {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
         self.wbuf.extend_from_slice(resp.to_json().as_bytes());
         self.wbuf.push(b'\n');
+    }
+
+    /// Bytes of responses queued but not yet written.
+    fn unwritten(&self) -> usize {
+        self.wbuf.len() - self.wpos
     }
 
     /// Writes as much buffered output as the socket accepts right now.
     fn flush_writes(&mut self) -> bool {
         let mut moved = false;
-        while !self.wbuf.is_empty() && !self.dead {
-            match self.stream.write(&self.wbuf) {
+        while self.unwritten() > 0 && !self.dead {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => self.dead = true,
                 Ok(n) => {
-                    self.wbuf.drain(..n);
+                    self.wpos += n;
                     self.last_activity = Instant::now();
                     moved = true;
                 }
@@ -106,7 +124,11 @@ impl Conn {
                 Err(_) => self.dead = true,
             }
         }
-        if self.rejected && self.wbuf.is_empty() && self.pending == 0 {
+        if self.unwritten() == 0 {
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
+        if self.rejected && self.unwritten() == 0 && self.pending == 0 {
             // The client reads the error, then EOF.
             let _ = self.stream.shutdown(Shutdown::Write);
         }
@@ -284,7 +306,9 @@ impl<B: Backend> EventLoop<B> {
 
     /// One pass over every connection: flush pending output, read and
     /// dispatch whatever arrived. Reports activity while any connection
-    /// still has input beyond its read budget.
+    /// still has input beyond its read budget. A connection whose peer
+    /// leaves [`MAX_LINE`] or more bytes of responses untaken is not read
+    /// until that backlog drains.
     fn pump(&mut self) -> bool {
         let mut any = false;
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
@@ -293,6 +317,10 @@ impl<B: Backend> EventLoop<B> {
                 continue;
             };
             any |= conn.flush_writes();
+            if conn.unwritten() >= MAX_LINE {
+                self.conns.insert(id, conn);
+                continue;
+            }
             let (lines, too_long, more) = conn.read_lines();
             any |= more;
             if lines.len() >= 2 {
@@ -331,8 +359,8 @@ impl<B: Backend> EventLoop<B> {
             if c.dead {
                 return false;
             }
-            let quiescent = c.pending == 0 && c.wbuf.is_empty() && c.rbuf.is_empty();
-            if c.closing && c.pending == 0 && c.wbuf.is_empty() {
+            let quiescent = c.pending == 0 && c.unwritten() == 0 && c.rbuf.is_empty();
+            if c.closing && c.pending == 0 && c.unwritten() == 0 {
                 return false;
             }
             if let Some(limit) = idle_timeout {
@@ -363,7 +391,7 @@ impl<B: Backend> EventLoop<B> {
             let mut outstanding = false;
             for conn in self.conns.values_mut() {
                 conn.flush_writes();
-                outstanding |= !conn.dead && (!conn.wbuf.is_empty() || conn.pending > 0);
+                outstanding |= !conn.dead && (conn.unwritten() > 0 || conn.pending > 0);
             }
             if !outstanding {
                 break;

@@ -555,3 +555,87 @@ fn endless_streams_do_not_starve_other_clients() {
         s.join().unwrap();
     }
 }
+
+#[test]
+fn unread_responses_pause_reading_without_stalling_other_clients() {
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    use std::time::Instant;
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let ping = |id: u64| {
+        let req = Request {
+            id,
+            deadline_ms: None,
+            fwd: false,
+            kind: RequestKind::Ping,
+        };
+        format!("{}\n", req.to_json()).into_bytes()
+    };
+    // One client pipelines pings and never reads a response. Once the
+    // daemon holds MAX_LINE bytes of unread responses it stops reading
+    // that connection, so the sends block for good.
+    let mut flood = std::net::TcpStream::connect(addr).unwrap();
+    flood.set_nonblocking(true).unwrap();
+    let mut sent = 0u64;
+    let mut rest: Vec<u8> = Vec::new();
+    let started = Instant::now();
+    let mut blocked_since: Option<Instant> = None;
+    loop {
+        if rest.is_empty() {
+            rest = ping(sent);
+            sent += 1;
+        }
+        match flood.write(&rest) {
+            Ok(n) => {
+                rest.drain(..n);
+                blocked_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let since = *blocked_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= Duration::from_secs(1) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("flooding client: {e}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60) && sent < 2_000_000,
+            "{sent} pings sent and the daemon kept reading"
+        );
+    }
+    // Another client is still served promptly (on its own thread, so a
+    // stalled loop fails the test instead of hanging it).
+    let (tx, rx) = std::sync::mpsc::channel();
+    let pinger = std::thread::spawn(move || {
+        let mut other = Client::connect(addr).unwrap();
+        for _ in 0..5 {
+            other.ping().unwrap();
+            tx.send(()).unwrap();
+        }
+        other
+    });
+    for i in 0..5 {
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "ping {i} of the second client unanswered"
+        );
+    }
+    let mut other = pinger.join().unwrap();
+    // Once the flooding client reads, every response arrives, in order.
+    flood.set_nonblocking(false).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let reader = BufReader::new(flood.try_clone().unwrap());
+    let collect = std::thread::spawn(move || {
+        let mut lines = reader.lines();
+        for id in 0..sent {
+            let line = lines.next().expect("a response per ping").unwrap();
+            assert_eq!(Response::from_json(&line).unwrap(), Response::Ok { id });
+        }
+    });
+    flood.write_all(&rest).unwrap();
+    collect.join().unwrap();
+    other.shutdown().unwrap();
+    join.join().unwrap();
+}
