@@ -1,5 +1,6 @@
 //! Differential property test of the execution backends: for random
-//! generated programs — list walks, fork trees, forall/shared counters —
+//! generated programs — list walks (over `int` and over `double` data),
+//! fork trees, forall/shared counters —
 //! compiled under every optimization mode (simple, optimized, prob
 //! alias, escape analysis, PGO) and run at 1, 2, and 8 nodes, the
 //! native backend's [`RunResult`] must be **byte-identical** to the
@@ -228,6 +229,70 @@ int main(int n) {{
     (src, vec![Value::Int(rng.index(16) as i64 + 4)])
 }
 
+/// Generator 4: a list walk over `double` data — double fields, locals
+/// and parameters (one passed an int), mixed int/double arithmetic,
+/// `%` on doubles, and every comparison between the two — so the
+/// native tier's double and mixed fast paths meet the interpreter.
+fn double_program(rng: &mut Rng) -> (String, Vec<Value>) {
+    let cmp = ["<", "<=", ">", ">=", "==", "!="];
+    let mut body = String::new();
+    for _ in 0..rng.index(5) + 2 {
+        match rng.index(7) {
+            0 => body.push_str("        acc = acc + c->x;\n"),
+            1 => body.push_str("        acc = acc * k - c->a;\n"),
+            2 => body.push_str("        acc = acc % m + c->a % m;\n"),
+            3 => body.push_str(&format!(
+                "        acc = acc % {}.5 - c->x / (k + 1.0);\n",
+                rng.index(4) + 1
+            )),
+            4 => body.push_str(&format!(
+                "        if (acc {} c->x) {{ acc = acc - k; }} else {{ acc = acc + 1; }}\n",
+                cmp[rng.index(cmp.len())]
+            )),
+            5 => body.push_str(&format!(
+                "        if (c->a {} acc) {{ t = t + 1; }}\n",
+                cmp[rng.index(cmp.len())]
+            )),
+            _ => body.push_str(&format!(
+                "        t = t * 2 - c->a + (c->x {} k);\n",
+                cmp[rng.index(cmp.len())]
+            )),
+        }
+    }
+    let k = ["0.75", "1.25", "1", "-0.5"][rng.index(4)];
+    let m = rng.index(5) + 2;
+    let src = format!(
+        r#"
+struct node {{ node* next; int a; double x; }};
+double walk(node *c, double k, int m) {{
+    double acc;
+    int t;
+    acc = 0.5;
+    t = 0;
+    while (c != NULL) {{
+{body}        c = c->next;
+    }}
+    return acc + t;
+}}
+double main(int n) {{
+    node *head;
+    node *q;
+    int i;
+    head = NULL;
+    for (i = 0; i < n; i = i + 1) {{
+        q = malloc_on(i % num_nodes(), sizeof(node));
+        q->a = i - 3;
+        q->x = i * 1.5 - 4;
+        q->next = head;
+        head = q;
+    }}
+    return walk(head, {k}, {m});
+}}
+"#
+    );
+    (src, vec![Value::Int(rng.index(12) as i64 + 4)])
+}
+
 fn random_program(rng: &mut Rng) -> (String, Vec<Value>) {
     match rng.index(3) {
         0 => list_program(rng),
@@ -246,6 +311,35 @@ fn random_programs_run_identically_on_both_backends() {
             let compiled = build(&src, mode, &args);
             for nodes in NODES {
                 let context = format!("mode={mode} nodes={nodes}");
+                assert_backends_agree(&compiled, nodes, &args, &context);
+            }
+        }
+    });
+}
+
+/// The same property over the double-typed generator.
+#[test]
+fn random_double_programs_run_identically_on_both_backends() {
+    earth_qcheck::cases(8, |rng| {
+        let (src, args) = double_program(rng);
+        // The programs are valid: the reference run returns a double.
+        let simple = build(&src, "simple", &args);
+        let entry = simple.function_by_name("main").expect("main");
+        let run = earth_sim::run_compiled(
+            ExecBackend::Interp,
+            MachineConfig::default(),
+            &simple,
+            entry,
+            &args,
+        );
+        assert!(
+            matches!(run, Ok(ref r) if matches!(r.ret, Value::Double(_))),
+            "{run:?}\n{src}"
+        );
+        for mode in MODES {
+            let compiled = build(&src, mode, &args);
+            for nodes in NODES {
+                let context = format!("mode={mode} nodes={nodes}\n{src}");
                 assert_backends_agree(&compiled, nodes, &args, &context);
             }
         }
