@@ -52,15 +52,6 @@ impl UnionFind {
         root
     }
 
-    /// Non-mutating find (no path compression).
-    pub fn find_const(&self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
-        }
-        root
-    }
-
     /// Merges the sets containing `a` and `b`; returns `true` if they were
     /// previously distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
@@ -108,14 +99,5 @@ mod tests {
         assert!(!uf.same(0, 1));
         uf.union(0, 1);
         assert!(uf.same(0, 1));
-    }
-
-    #[test]
-    fn find_const_matches_find() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 2);
-        uf.union(2, 3);
-        assert_eq!(uf.find_const(3), uf.find(3));
-        assert!(!uf.is_empty());
     }
 }
